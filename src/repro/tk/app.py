@@ -93,14 +93,17 @@ class TkWindow:
     # -- geometry (updates both server and the structure cache) ---------
 
     def move_resize(self, x: int, y: int, width: int, height: int) -> None:
+        if width < 1:
+            width = 1
+        if height < 1:
+            height = 1
+        if x == self.x and y == self.y and width == self.width and \
+                height == self.height:
+            return
         # A lost connection tears the application down, and teardown
         # re-runs geometry management (unpacking a child re-arranges
         # its parent); none of that may talk to the dead wire.
         if self.destroyed or self.app.display.closed:
-            return
-        width, height = max(1, width), max(1, height)
-        if (x, y, width, height) == (self.x, self.y, self.width,
-                                     self.height):
             return
         self.x, self.y = x, y
         size_changed = (width, height) != (self.width, self.height)

@@ -193,12 +193,17 @@ class Packer(geometry.GeometryManager):
         need_width = 0
         need_height = 0
         for slot in reversed(self._slots.get(parent, [])):
-            if slot.side in ("top", "bottom"):
-                need_width = max(need_width, slot.slice_width)
-                need_height += slot.slice_height
+            window = slot.window
+            slice_width = window.requested_width + 2 * slot.padx
+            slice_height = window.requested_height + 2 * slot.pady
+            if slot.side == "top" or slot.side == "bottom":
+                if slice_width > need_width:
+                    need_width = slice_width
+                need_height += slice_height
             else:
-                need_height = max(need_height, slot.slice_height)
-                need_width += slot.slice_width
+                if slice_height > need_height:
+                    need_height = slice_height
+                need_width += slice_width
         return max(need_width, 1), max(need_height, 1)
 
     def arrange(self, parent) -> None:
@@ -218,25 +223,34 @@ class Packer(geometry.GeometryManager):
         cavity_x, cavity_y = 0, 0
         cavity_w, cavity_h = width, height
         for slot in slots:
-            if slot.side in ("top", "bottom"):
-                band_h = min(slot.slice_height + extra_y.pop(slot, 0),
-                             cavity_h)
+            side = slot.side
+            if side == "top" or side == "bottom":
+                band_h = slot.window.requested_height + 2 * slot.pady
+                if extra_y:
+                    band_h += extra_y.pop(slot, 0)
+                if band_h > cavity_h:
+                    band_h = cavity_h
                 band_w = cavity_w
                 band_x = cavity_x
-                band_y = cavity_y if slot.side == "top" \
-                    else cavity_y + cavity_h - band_h
-                if slot.side == "top":
+                if side == "top":
+                    band_y = cavity_y
                     cavity_y += band_h
+                else:
+                    band_y = cavity_y + cavity_h - band_h
                 cavity_h -= band_h
             else:
-                band_w = min(slot.slice_width + extra_x.pop(slot, 0),
-                             cavity_w)
+                band_w = slot.window.requested_width + 2 * slot.padx
+                if extra_x:
+                    band_w += extra_x.pop(slot, 0)
+                if band_w > cavity_w:
+                    band_w = cavity_w
                 band_h = cavity_h
                 band_y = cavity_y
-                band_x = cavity_x if slot.side == "left" \
-                    else cavity_x + cavity_w - band_w
-                if slot.side == "left":
+                if side == "left":
+                    band_x = cavity_x
                     cavity_x += band_w
+                else:
+                    band_x = cavity_x + cavity_w - band_w
                 cavity_w -= band_w
             self._place(slot, band_x, band_y, band_w, band_h,
                         width, height)
@@ -244,26 +258,28 @@ class Packer(geometry.GeometryManager):
     def _expand_extras(self, slots: List[PackSlot], width: int,
                        height: int) -> tuple:
         """Distribute leftover cavity space among expanding slots."""
-        used_x = sum(slot.slice_width for slot in slots
-                     if slot.side in ("left", "right"))
-        used_y = sum(slot.slice_height for slot in slots
-                     if slot.side in ("top", "bottom"))
+        extra_x: Dict[PackSlot, int] = {}
+        extra_y: Dict[PackSlot, int] = {}
         expanders_x = [slot for slot in slots if slot.expand and
                        slot.side in ("left", "right")]
         expanders_y = [slot for slot in slots if slot.expand and
                        slot.side in ("top", "bottom")]
-        extra_x: Dict[PackSlot, int] = {}
-        extra_y: Dict[PackSlot, int] = {}
-        leftover_x = max(0, width - used_x)
-        leftover_y = max(0, height - used_y)
-        if expanders_x and leftover_x:
-            share, remainder = divmod(leftover_x, len(expanders_x))
-            for index, slot in enumerate(expanders_x):
-                extra_x[slot] = share + (1 if index < remainder else 0)
-        if expanders_y and leftover_y:
-            share, remainder = divmod(leftover_y, len(expanders_y))
-            for index, slot in enumerate(expanders_y):
-                extra_y[slot] = share + (1 if index < remainder else 0)
+        if expanders_x:
+            used_x = sum(slot.slice_width for slot in slots
+                         if slot.side in ("left", "right"))
+            leftover_x = max(0, width - used_x)
+            if leftover_x:
+                share, remainder = divmod(leftover_x, len(expanders_x))
+                for index, slot in enumerate(expanders_x):
+                    extra_x[slot] = share + (1 if index < remainder else 0)
+        if expanders_y:
+            used_y = sum(slot.slice_height for slot in slots
+                         if slot.side in ("top", "bottom"))
+            leftover_y = max(0, height - used_y)
+            if leftover_y:
+                share, remainder = divmod(leftover_y, len(expanders_y))
+                for index, slot in enumerate(expanders_y):
+                    extra_y[slot] = share + (1 if index < remainder else 0)
         return extra_x, extra_y
 
     def _place(self, slot: PackSlot, band_x: int, band_y: int,
@@ -271,20 +287,35 @@ class Packer(geometry.GeometryManager):
                parent_h: int) -> None:
         """Size and position a window inside its band."""
         window = slot.window
-        inner_w = max(0, band_w - 2 * slot.padx)
-        inner_h = max(0, band_h - 2 * slot.pady)
-        width = inner_w if slot.fill_x else \
-            min(window.requested_width, inner_w)
-        height = inner_h if slot.fill_y else \
-            min(window.requested_height, inner_h)
-        width = max(1, width)
-        height = max(1, height)
+        padx, pady = slot.padx, slot.pady
+        inner_w = band_w - 2 * padx
+        if inner_w < 0:
+            inner_w = 0
+        inner_h = band_h - 2 * pady
+        if inner_h < 0:
+            inner_h = 0
+        width = inner_w
+        if not slot.fill_x and window.requested_width < inner_w:
+            width = window.requested_width
+        height = inner_h
+        if not slot.fill_y and window.requested_height < inner_h:
+            height = window.requested_height
+        if width < 1:
+            width = 1
+        if height < 1:
+            height = 1
         fx, fy = _ANCHORS[slot.anchor]
-        x = band_x + slot.padx + int((inner_w - width) * fx)
-        y = band_y + slot.pady + int((inner_h - height) * fy)
+        x = band_x + padx + int((inner_w - width) * fx)
+        y = band_y + pady + int((inner_h - height) * fy)
         # A window whose band was squeezed to nothing still gets its
         # minimum 1x1 geometry; keep it inside the parent.
-        x = max(0, min(x, parent_w - width))
-        y = max(0, min(y, parent_h - height))
+        if x > parent_w - width:
+            x = parent_w - width
+        if x < 0:
+            x = 0
+        if y > parent_h - height:
+            y = parent_h - height
+        if y < 0:
+            y = 0
         window.move_resize(x, y, width, height)
         window.map()

@@ -9,8 +9,7 @@ events.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 # -- event types (X protocol numbering) --------------------------------
 
@@ -154,8 +153,17 @@ class Event:
         return EVENT_NAMES.get(self.type, "Unknown(%d)" % self.type)
 
     def for_window(self, window: int) -> "Event":
-        """A copy of this event readdressed to another window."""
-        return replace(self, window=window)
+        """A copy of this event readdressed to another window.
+
+        The copy keeps every other field, ``serial`` included, exactly
+        as ``dataclasses.replace`` would, without re-running
+        ``__init__``: the server makes one copy per delivered event.
+        """
+        copy = object.__new__(self.__class__)
+        fields = self.__dict__.copy()
+        fields["window"] = window
+        copy.__dict__ = fields
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Event %s win=%d x=%d y=%d state=%d keysym=%r>" % (
@@ -171,8 +179,3 @@ WIRE_FIELDS = (
     "type", "window", "x", "y", "x_root", "y_root", "state", "keysym",
     "keychar", "button", "width", "height", "time", "atom", "selection",
     "target", "property", "requestor", "data", "send_event")
-
-
-def mask_for(event_type: int) -> Optional[int]:
-    """Return the selecting mask for an event type (0 = always sent)."""
-    return MASK_FOR_TYPE.get(event_type)

@@ -72,20 +72,28 @@ class Window:
             y += ancestor.y
         return x, y
 
-    def contains_root_point(self, root_x: int, root_y: int) -> bool:
-        x, y = self.root_position()
-        return x <= root_x < x + self.width and y <= root_y < y + self.height
-
     def window_at(self, root_x: int, root_y: int) -> "Window":
         """Deepest viewable window containing the given root point.
 
         Assumes the point is inside this window.  Children later in the
-        stacking list are on top, so they are searched first.
+        stacking list are on top, so they are searched first.  The
+        descent carries the point in the current window's coordinates,
+        so each child test is a comparison against its own geometry.
         """
-        for child in reversed(self.children):
-            if child.mapped and child.contains_root_point(root_x, root_y):
-                return child.window_at(root_x, root_y)
-        return self
+        origin_x, origin_y = self.root_position()
+        x, y = root_x - origin_x, root_y - origin_y
+        window = self
+        while True:
+            for child in reversed(window.children):
+                if child.mapped and \
+                        child.x <= x < child.x + child.width and \
+                        child.y <= y < child.y + child.height:
+                    x -= child.x
+                    y -= child.y
+                    window = child
+                    break
+            else:
+                return window
 
     # -- drawing record ----------------------------------------------------
 

@@ -66,6 +66,7 @@ whole wire logs across transports for equality.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Callable, List, Optional, Tuple
 
@@ -334,34 +335,68 @@ def _value_size(value) -> int:
             total += _value_size(key) + _value_size(item)
         return total
     if kind is Event:
-        # Hottest case by far — one frame per delivered event.  The
-        # fields are almost always small ints, short ASCII strings, or
-        # None, so size them inline rather than recursing per field.
-        # Every WIRE_FIELD is a plain dataclass attribute (the only
-        # Event property, ``name``, is not on the wire), so the
-        # instance dict lookup is exactly getattr, minus the overhead.
-        fields = value.__dict__
-        total = 2
-        for name in WIRE_FIELDS:
-            item = fields[name]
-            if item is None or item is True or item is False:
-                total += 1
-                continue
-            item_kind = type(item)
-            if item_kind is int:
-                if _I64_MIN <= item <= _I64_MAX:
-                    total += 9
-                else:
-                    total += 5 + (item.bit_length() + 8) // 8
-            elif item_kind is str:
-                if item.isascii():
-                    total += 5 + len(item)
-                else:
-                    total += 5 + len(item.encode("utf-8"))
-            else:
-                total += _value_size(item)
-        return total
+        return _event_size(value)
     return _value_size_slow(value)
+
+
+#: The Event fields :func:`_event_size` reads, in the order it reads
+#: them.  Must equal ``events.WIRE_FIELDS`` (a codec test pins this),
+#: or the sizer would size a different frame than the encoder.
+EVENT_SIZER_FIELDS = (
+    "type", "window", "x", "y", "x_root", "y_root", "state", "keysym",
+    "keychar", "button", "width", "height", "time", "atom", "selection",
+    "target", "property", "requestor", "data", "send_event")
+_event_values = operator.itemgetter(*EVENT_SIZER_FIELDS)
+#: the sixteen int fields of the common shape, range-checked in one call
+_EVENT_INTS = struct.Struct(">16q")
+#: frame bytes of a common-shape Event, apart from its two strings'
+#: characters: tag and field count, sixteen i64s, two string headers,
+#: the empty data tuple, the send_event bool
+_EVENT_FIXED = 2 + 16 * 9 + 2 * 5 + 5 + 1
+
+
+def _event_size(event) -> int:
+    # The hottest case by far: one EVENT frame per delivered event.
+    # Server-built events have one shape — exact ints within i64, ASCII
+    # strings, empty data, a bool — whose size is a constant plus the
+    # string lengths.  Anything else (bools or floats in int fields,
+    # big ints, non-ASCII text, data items) is sized field by field by
+    # the general path, which raises encode_frame's WireError.  Every
+    # wire field is a plain dataclass attribute, so the instance dict
+    # lookup is exactly getattr.  The fields are read into locals, at
+    # most three per statement: unpacking a longer tuple would allocate
+    # one per event, and that alone makes the cyclic GC run often
+    # enough to hold on to more garbage.
+    fields = event.__dict__
+    kind, window, x = fields["type"], fields["window"], fields["x"]
+    y, x_root, y_root = fields["y"], fields["x_root"], fields["y_root"]
+    state, keysym = fields["state"], fields["keysym"]
+    keychar, button = fields["keychar"], fields["button"]
+    width, height, time = fields["width"], fields["height"], fields["time"]
+    atom, selection = fields["atom"], fields["selection"]
+    target, property_ = fields["target"], fields["property"]
+    requestor, data = fields["requestor"], fields["data"]
+    send_event = fields["send_event"]
+    if type(kind) is int and type(window) is int and type(x) is int and \
+            type(y) is int and type(x_root) is int and \
+            type(y_root) is int and type(state) is int and \
+            type(keysym) is str and type(keychar) is str and \
+            type(button) is int and type(width) is int and \
+            type(height) is int and type(time) is int and \
+            type(atom) is int and type(selection) is int and \
+            type(target) is int and type(property_) is int and \
+            type(requestor) is int and type(data) is tuple and \
+            not data and (send_event is False or send_event is True) and \
+            keysym.isascii() and keychar.isascii():
+        try:
+            _EVENT_INTS.pack(kind, window, x, y, x_root, y_root, state,
+                             button, width, height, time, atom, selection,
+                             target, property_, requestor)
+        except struct.error:
+            pass                # an int outside i64: sized below
+        else:
+            return _EVENT_FIXED + len(keysym) + len(keychar)
+    return 2 + sum(map(_value_size, _event_values(fields)))
 
 
 def _value_size_slow(value) -> int:

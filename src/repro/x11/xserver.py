@@ -33,10 +33,9 @@ from .atoms import AtomTable
 from .events import (ALWAYS_DELIVERED, BUTTON_PRESS, BUTTON_RELEASE,
                      CONFIGURE_NOTIFY, DESTROY_NOTIFY, ENTER_NOTIFY, EXPOSE,
                      Event, KEY_PRESS, KEY_RELEASE, LEAVE_NOTIFY, MAP_NOTIFY,
-                     MOTION_NOTIFY, PROPERTY_NOTIFY, SELECTION_CLEAR,
-                     SELECTION_NOTIFY, SELECTION_REQUEST,
-                     STRUCTURE_NOTIFY_MASK, SUBSTRUCTURE_NOTIFY_MASK,
-                     UNMAP_NOTIFY, mask_for)
+                     MASK_FOR_TYPE, MOTION_NOTIFY, PROPERTY_NOTIFY,
+                     SELECTION_CLEAR, SELECTION_NOTIFY, SELECTION_REQUEST,
+                     SUBSTRUCTURE_NOTIFY_MASK, UNMAP_NOTIFY)
 from .resources import (BUILTIN_BITMAPS, CURSOR_NAMES, Bitmap, Color, Cursor,
                         Font, GraphicsContext, font_exists, font_metrics,
                         parse_color)
@@ -897,9 +896,12 @@ class XServer:
 
     def _deliver(self, window: Window, event: Event) -> bool:
         """Deliver to clients selecting this event's mask on ``window``."""
-        mask = mask_for(event.type)
+        selections = window.event_selections
+        if not selections:
+            return False
+        mask = MASK_FOR_TYPE.get(event.type)
         delivered = False
-        for client, selected in list(window.event_selections.items()):
+        for client, selected in list(selections.items()):
             if mask == ALWAYS_DELIVERED or (selected & mask):
                 client.enqueue(event.for_window(window.id))
                 delivered = True
@@ -920,14 +922,24 @@ class XServer:
         return False
 
     def _expose(self, window: Window) -> None:
-        if not window.is_viewable():
-            return
-        event = Event(EXPOSE, window=window.id, x=0, y=0,
-                      width=window.width, height=window.height,
-                      time=self.time_ms)
-        self._deliver(window, event)
+        """Expose ``window`` and every viewable window below it.
+
+        One Expose is built per viewable window, in pre-order, whether
+        or not anyone selected it: each takes the next event serial,
+        which bindings can read through ``%#``.
+        """
+        if window.is_viewable():
+            self._expose_viewable(window)
+
+    def _expose_viewable(self, window: Window) -> None:
+        # The mapped children of a viewable window are viewable.
+        self._deliver(window, Event(EXPOSE, window=window.id,
+                                    width=window.width,
+                                    height=window.height,
+                                    time=self.clock.now))
         for child in window.children:
-            self._expose(child)
+            if child.mapped:
+                self._expose_viewable(child)
 
     # ------------------------------------------------------------------
     # input device simulation

@@ -236,6 +236,71 @@ def test_reply_round_trip_is_a_batch_barrier():
     assert server.window(win).width == 30
 
 
+#: One steady-state op of the paper's Table II row 3 (create, pack,
+#: display and destroy 50 buttons, labelled as in perfbench's
+#: button_churn at seed 1) with a warm resource cache: requests
+#: delivered (batch ticks included), batch writes, coalesced requests,
+#: wire bytes out and in, events the server delivered (all, and Expose
+#: alone), and events Tk dispatched.  Any change to the request or
+#: event stream of the churn moves at least one of these.
+EXPECTED_CHURN = {
+    "requests": 700, "batches": 52, "coalesced": 1274,
+    "bytes_out": 69834, "bytes_in": 451994,
+    "events": 2698, "expose": 2599, "dispatched": 1276,
+}
+
+
+def test_button_churn_steady_op_traffic():
+    import random
+    import string
+    from repro.x11 import events as ev
+    rng = random.Random(1)
+    labels = ["".join(rng.choice(string.ascii_lowercase) for _ in range(6))
+              for _ in range(50)]
+    server = XServer()
+    app = TkApp(server, name="buttons")
+    app.interp.stdout = io.StringIO()
+    metrics = server.obs.metrics
+    delivered = []
+    sink = app.display.client.transport_sink
+
+    def counting_sink(event):
+        delivered.append(event.type)
+        sink(event)
+    app.display.client.transport_sink = counting_sink
+
+    def churn():
+        for index, label in enumerate(labels):
+            app.interp.eval(
+                "button .b%d -text %s -command {set pressed %s}"
+                % (index, label, label))
+            app.interp.eval("pack append . .b%d {top}" % index)
+        app.update()
+        for index in range(50):
+            app.interp.eval("destroy .b%d" % index)
+        app.update()
+
+    def counts():
+        return {
+            "requests": server.requests,
+            "batches": metrics.value("x11.requests", type="batch"),
+            "coalesced": metrics.value("x11.requests_coalesced"),
+            "bytes_out": metrics.total("x11.wire.bytes_out"),
+            "bytes_in": metrics.total("x11.wire.bytes_in"),
+            "events": len(delivered),
+            "expose": delivered.count(ev.EXPOSE),
+            "dispatched": app.obs.metrics.total("tk.events.dispatched"),
+        }
+
+    churn()                       # warm-up: fills the resource cache
+    before = counts()
+    churn()
+    after = counts()
+    assert {name: after[name] - before[name] for name in after} == \
+        EXPECTED_CHURN
+    assert app.main.children == []
+
+
 def test_wire_metrics_labeled_by_transport():
     """The x11.wire.* series are pinned to {client=, transport=} labels.
 

@@ -160,6 +160,61 @@ class TestFrameSize:
         with pytest.raises(WireError):
             wire.frame_size(0x7F, None)
 
+    # The Event sizer's fast path covers one shape (exact ints in i64,
+    # ASCII strings, empty data, a bool); each case below leaves that
+    # shape in one field and must size, or fail, exactly like encode.
+    @pytest.mark.parametrize("fields", [
+        {},                                          # the common shape
+        {"keysym": "Return", "keychar": "\r", "time": 99},
+        {"x": True},                                 # bool in int field
+        {"state": False, "button": True},
+        {"time": 1 << 63},                           # just past i64
+        {"time": -(1 << 63) - 1},
+        {"time": -(1 << 63), "atom": (1 << 63) - 1},  # i64 extremes
+        {"time": 1 << 200},
+        {"x": 1.5},                                  # float in int field
+        {"keysym": "ö"},                             # non-ASCII strings
+        {"keychar": "☃"},
+        {"data": (1, "two", None)},                  # non-empty data
+        {"send_event": True},
+    ])
+    def test_event_sizer_lockstep(self, fields):
+        event = ev.Event(type=ev.EXPOSE, window=3, width=10, height=20,
+                         **fields)
+        for ftype in (wire.EVENT, wire.REPLY):
+            assert wire.frame_size(ftype, event) == \
+                len(wire.encode_frame(ftype, event))
+
+    @pytest.mark.parametrize("fields", [
+        {"data": (1, object())},                     # unencodable item
+        {"data": ({1, 2},)},
+        {"x": object()},
+        {"keychar": b"raw", "requestor": object()},
+    ])
+    def test_event_sizer_raises_like_encode(self, fields):
+        event = ev.Event(type=ev.KEY_PRESS, **fields)
+        with pytest.raises(WireError) as encoded:
+            wire.encode_frame(wire.EVENT, event)
+        with pytest.raises(WireError) as sized:
+            wire.frame_size(wire.EVENT, event)
+        assert str(sized.value) == str(encoded.value)
+
+    #: values outside the common shape, by the field's usual type
+    ODD_VALUES = {int: (True, 2.5, 1 << 63, None), str: ("é", None, 7),
+                  tuple: ((1,), [], None), bool: (1, None)}
+
+    @pytest.mark.parametrize("name", ev.WIRE_FIELDS)
+    def test_event_sizer_checks_every_field(self, name):
+        kind = type(getattr(ev.Event(ev.EXPOSE), name))
+        for value in self.ODD_VALUES[kind]:
+            event = ev.Event(ev.EXPOSE, window=4)
+            setattr(event, name, value)
+            assert wire.frame_size(wire.EVENT, event) == \
+                len(wire.encode_frame(wire.EVENT, event)), value
+
+    def test_event_sizer_unpacks_the_wire_fields(self):
+        assert wire.EVENT_SIZER_FIELDS == ev.WIRE_FIELDS
+
 
 class TestFrames:
     def test_every_frame_type_round_trips(self):
