@@ -32,7 +32,7 @@ sys.path.insert(
 
 from repro.obs import report as obs_report  # noqa: E402
 from repro.obs.journal import Journal  # noqa: E402
-from repro.obs.replay import _build_app, replay_journal  # noqa: E402
+from repro.obs.replay import replay_journal  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "examples", "golden.journal")
@@ -45,17 +45,11 @@ def _traced_replay(journal: Journal, kind: str) -> dict:
     """One traced default-mode replay over ``kind``; returns the wire
     JSONL, the structural span forest, and the critical path."""
     header = journal.meta or {}
-    flags = dict(header.get("flags") or {})
     tracers = []
 
-    def setup(server):
-        app = _build_app(server, header.get("name") or "replay",
-                         header.get("script") or "",
-                         flags.get("cache_enabled", True),
-                         flags.get("compile_enabled", True),
-                         flags.get("buffering_enabled", True),
-                         flags.get("bytecode_enabled", True),
-                         transport=kind)
+    def setup(session):
+        app = session.new_app(header.get("name") or "replay",
+                              header.get("script") or "")
         # Trace from the first replayed input on; spans stay readable
         # after app.destroy() deregisters the tracer.
         app.obs.tracer.start(wire=True)

@@ -19,7 +19,8 @@ and commit the result only when a wire-visible change is intentional.
 import os
 import sys
 
-from repro.obs.replay import _build_app, record_session
+from repro.obs.replay import record_session
+from repro.obs.session import Session
 from repro.x11.xserver import XServer
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -50,7 +51,7 @@ def _center(app, path):
 def build_steps():
     """Probe widget positions on a throwaway app (layout is
     deterministic), then script the input sequence against them."""
-    probe = _build_app(XServer(), "golden", SCRIPT, True, True, True)
+    probe = Session(XServer()).new_app("golden", SCRIPT)
     ok = _center(probe, ".form.ok")
     picks = _center(probe, ".form.picks")
     probe.destroy()

@@ -113,9 +113,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     journals = list(args.journal)
     if args.corpus:
         journals.extend(corpus_journals(args.corpus))
-    specs = build_specs(args.sessions, args.seed, journals,
-                        slow_journal=args.slow_journal,
-                        steps=args.steps)
+    try:
+        specs = build_specs(args.sessions, args.seed, journals,
+                            slow_journal=args.slow_journal,
+                            steps=args.steps)
+    except ValueError as error:
+        sys.stderr.write("fleet: refused spec: %s\n" % error)
+        return 2
     driver = FleetDriver(specs, cell_size=args.cell_size,
                          pump_budget=args.pump_budget,
                          ping_every=args.ping_every, seed=args.seed)

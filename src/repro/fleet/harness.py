@@ -14,7 +14,9 @@ three sources and all run identically:
 * hand-built specs (:func:`make_slow_spec`) — synthetic outliers the
   telemetry must be able to pick out of the crowd.
 
-A :class:`FleetSession` runs one spec against a (possibly shared)
+A :class:`FleetSession` is a thin driver over one
+:class:`~repro.obs.session.Session` (the executor record, replay and
+fuzz share): it runs one spec against a (possibly shared)
 :class:`~repro.x11.xserver.XServer`, one input per scheduler visit,
 and records *its own* telemetry into a private
 :class:`~repro.obs.metrics.MetricsRegistry`: a ``fleet.dispatch_ms``
@@ -45,7 +47,8 @@ from typing import List, Optional, Tuple
 
 from ..fuzz.gen import generate_scenario
 from ..obs.metrics import MetricsRegistry
-from ..obs.replay import _build_app, start_recording
+from ..obs.replay import start_recording
+from ..obs.session import Session, SessionConfig
 from ..x11 import events as ev
 from ..x11.faults import FaultPlan
 
@@ -76,7 +79,9 @@ class SessionSpec:
                  transport: Optional[str] = None):
         self.steps = [(kind, list(args)) for kind, args in steps]
         self.setup_script = setup_script
-        self.flags = dict(flags or {})
+        #: the ablation tiers; malformed ``flags`` refuse the spec
+        #: with :class:`ValueError`
+        self.config = SessionConfig.from_flags(flags)
         self.fault_spec = fault_spec
         #: how this session's Displays reach the cell's server: None /
         #: "loopback" for in-process calls, "socket" for real frames
@@ -90,6 +95,10 @@ class SessionSpec:
         #: when set, the session records its own journal and saves it
         #: here at completion (the outlier-repro path)
         self.record_path = record_path
+
+    @property
+    def flags(self) -> dict:
+        return self.config.to_flags()
 
     @property
     def multi_app(self) -> bool:
@@ -144,19 +153,24 @@ class SessionSpec:
             " solo" if self.solo else "")
 
 
-class FleetSession:
-    """One live session: spec + applications + private telemetry."""
+class FleetSession(Session):
+    """One live session: spec + applications + private telemetry.
+
+    The executor is the inherited :class:`~repro.obs.session.Session`;
+    ``pump_budget`` is events per budgeted pump (0 pumps to
+    quiescence).  Recording sessions always pump to quiescence, as
+    :func:`repro.obs.replay.replay_journal` does, so their journal
+    replays identically.  ``fleet.errors`` counts the error sink.
+    """
 
     def __init__(self, sid: str, spec: SessionSpec, server,
                  pump_budget: int = 0):
+        super().__init__(server, spec.config, transport=spec.transport,
+                         pump_budget=0 if spec.record_path is not None
+                         else pump_budget,
+                         errors=[])
         self.sid = sid
         self.spec = spec
-        self.server = server
-        #: events per budgeted pump; 0 pumps to quiescence.  Recording
-        #: sessions always pump to quiescence so their journal replays
-        #: through :func:`repro.obs.replay.apply_input` identically.
-        self.pump_budget = 0 if spec.record_path is not None \
-            else pump_budget
         self.status = ACTIVE
         self.metrics = MetricsRegistry()
         self._m_dispatch = self.metrics.histogram(
@@ -172,12 +186,8 @@ class FleetSession:
         #: phase bracket is three attribute reads, not registry lookups
         self._m_batch_ticks = server.obs.metrics.counter(
             "x11.requests", type="batch")
-        self.apps: List = []
-        self.main_app = None
         self.plan: Optional[FaultPlan] = None
-        self.journal = None
         self._cursor = 0
-        self._pump_app = None
         self.finished = False
 
     # -- lifecycle -----------------------------------------------------
@@ -193,27 +203,14 @@ class FleetSession:
             # same faults standalone.
             self.journal = start_recording(
                 self.server, name=spec.name, script=spec.setup_script,
-                maxlen=RECORD_RING, fault_plan=plan, **spec.flags)
+                config=spec.config, maxlen=RECORD_RING, fault_plan=plan)
             self.plan = plan
         elif spec.fault_spec is not None:
             self.plan = self.server.install_fault_plan(
                 FaultPlan.from_spec(spec.fault_spec))
-        flags = spec.flags
-        try:
-            self.main_app = _build_app(
-                self.server, spec.name, spec.setup_script,
-                flags.get("cache_enabled", True),
-                flags.get("compile_enabled", True),
-                flags.get("buffering_enabled", True),
-                flags.get("bytecode_enabled", True),
-                transport=spec.transport)
-        except Exception:
-            # A fault plan can kill construction; the session then runs
-            # its steps app-less, exactly as record_session does.
-            self.main_app = None
-            self._m_errors.value += 1
-        if self.main_app is not None:
-            self.apps.append(self.main_app)
+        # A fault plan can kill construction; the session then runs
+        # its steps app-less, exactly as record_session does.
+        self.start(spec.name, spec.setup_script)
 
     def step(self) -> bool:
         """Run this session's next unit of work; False when idle.
@@ -224,10 +221,9 @@ class FleetSession:
         """
         if self.finished:
             return False
-        if self._pump_app is not None:
-            app, self._pump_app = self._pump_app, None
+        if self.pending is not None:
             begin = self._phase_begin()
-            self._pump(app)
+            self.resume()
             self._m_dispatch.observe(self._phase_end(begin))
             return True
         if self._cursor >= len(self.spec.steps):
@@ -241,7 +237,7 @@ class FleetSession:
         """Execute one input, observing its virtual-time latency."""
         begin = self._phase_begin()
         try:
-            self._execute(kind, list(args))
+            self.apply(kind, list(args))
         finally:
             self._m_steps.value += 1
             self._m_dispatch.observe(self._phase_end(begin))
@@ -286,95 +282,9 @@ class FleetSession:
             # and the rollup must not double-count the shared server
             # registry each app mounts.
             self.metrics.merge(app.obs.metrics, include_mounts=False)
-        for app in self.apps:
-            if not app.destroyed:
-                try:
-                    app.destroy()
-                except Exception:
-                    # A still-armed fault plan may inject into the
-                    # teardown requests themselves.
-                    self._m_errors.value += 1
-
-    # -- the input executor (mirrors repro.obs.replay.apply_input) -----
-
-    def _execute(self, kind: str, args: list) -> None:
-        server = self.server
-        if kind == "new_app":
-            if self.journal is not None:
-                self.journal.input("new_app", tuple(args))
-            flags = self.spec.flags
-            try:
-                app = _build_app(server, args[0],
-                                 args[1] if len(args) > 1 else "",
-                                 flags.get("cache_enabled", True),
-                                 flags.get("compile_enabled", True),
-                                 flags.get("buffering_enabled", True),
-                                 flags.get("bytecode_enabled", True),
-                                 transport=self.spec.transport)
-                self.apps.append(app)
-            except Exception:
-                self._m_errors.value += 1
-            return
-        if kind == "update":
-            if self.journal is not None:
-                self.journal.input("update", tuple(args))
-            self._pump(self._own_app(args))
-            return
-        if kind == "advance":
-            if self.journal is not None:
-                self.journal.input("advance", tuple(args))
-            if args[0] > server.time_ms:
-                server.time_ms = args[0]
-            self._pump(self._own_app(args[1:]))
-            return
-        if kind == "eval":
-            if self.journal is not None:
-                self.journal.input("eval", tuple(args))
-            app = self._own_app(args[1:])
-            if app is not None:
-                try:
-                    app.interp.eval_top(args[0])
-                except Exception:
-                    self._m_errors.value += 1
-            self._pump(app)
-            return
-        # Raw device input; the server's own hooks journal it.  With
-        # socket-backed sessions in the cell, the injection must run on
-        # the server thread (which also drains client output mid-call).
-        host = getattr(server, "_wire_host", None)
-        try:
-            if host is not None and host.running:
-                host.inject(kind, *args)
-            else:
-                getattr(server, kind)(*args)
-        except Exception:
-            # An injected fault at the input's own request tick.
-            self._m_errors.value += 1
-
-    def _own_app(self, args: list):
-        """Resolve an input's target among this session's apps only."""
-        if args:
-            for app in self.apps:
-                if app.name == args[0] and not app.destroyed:
-                    return app
-        return self.main_app
-
-    def _pump(self, app) -> None:
-        if app is None or app.destroyed:
-            return
-        try:
-            if self.pump_budget:
-                processed = app.dispatcher.do_events(self.pump_budget)
-                if processed == self.pump_budget:
-                    # Budget exhausted with work pending: ask the
-                    # scheduler for another visit before the next input.
-                    self._pump_app = app
-            else:
-                processed = app.update()
-        except Exception:
-            self._m_errors.value += 1
-            processed = 0
-        self._m_events.value += processed
+        self.close()
+        self._m_events.value = self.events
+        self._m_errors.value = len(self.errors)
 
     # -- reads ---------------------------------------------------------
 

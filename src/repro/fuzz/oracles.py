@@ -63,12 +63,14 @@ class Violation:
 
 
 def classify_swallowed(swallowed: List[Tuple[str, BaseException]],
-                       step: int, faulted: bool) -> List[Violation]:
+                       step: Optional[int],
+                       faulted: bool) -> List[Violation]:
     """Sort the executor's swallowed exceptions into violations.
 
     ``faulted`` is True when a fault plan is installed: injected
     protocol errors at input-injection points (and application
-    construction killed by a fault) are then expected, not bugs.
+    construction or teardown killed by a fault) are then expected,
+    not bugs.
     """
     out = []
     for stage, error in swallowed:
@@ -93,6 +95,12 @@ def classify_swallowed(swallowed: List[Tuple[str, BaseException]],
                 continue        # construction killed by a fault
             out.append(Violation(
                 "escape", step, "%s escaped application setup: %s"
+                % (type(error).__name__, error)))
+        elif stage == "teardown":
+            if faulted:
+                continue        # the plan fired into a destroy request
+            out.append(Violation(
+                "escape", step, "%s escaped application teardown: %s"
                 % (type(error).__name__, error)))
     return out
 

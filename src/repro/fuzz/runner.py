@@ -1,11 +1,13 @@
 """Drive fuzz scenarios through the real TkApp/XServer stack.
 
-The runner is deliberately a thin composition of existing machinery:
-:func:`repro.obs.replay.start_recording` attaches the journal,
-:func:`repro.obs.replay.apply_input` executes every step (the *same*
-executor :func:`replay_journal` uses, so recording and replay cannot
-drift apart), and :mod:`repro.fuzz.oracles` checks the invariants
-after each step.  A scenario's journal is its durable form — see
+The runner is a thin driver over a recording
+:class:`~repro.obs.session.Session`:
+:func:`repro.obs.replay.start_recording` attaches the journal, the
+session executes and journals every step (the *same* executor
+:func:`replay_journal` uses, so recording and replay cannot drift
+apart), and :mod:`repro.fuzz.oracles` checks the invariants after
+each step against the exceptions the step left in the session's
+error sink.  A scenario's journal is its durable form — see
 :func:`scenario_from_journal` for the inverse.
 """
 
@@ -14,17 +16,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..obs.journal import Journal
-from ..obs.replay import _build_app, apply_input, start_recording
+from ..obs.replay import start_recording
+from ..obs.session import Session, SessionConfig
 from . import oracles
 from .gen import Scenario
 
 #: Journal ring size for fuzz sessions — large enough that no session
 #: wraps (a wrapped ring would break the byte-identity oracle).
 FUZZ_RING = 262144
-
-#: Input kinds the runner journals itself (raw device inputs are
-#: journaled by the server's own hooks).
-LOOP_KINDS = ("update", "advance", "eval", "new_app")
 
 
 class FuzzResult:
@@ -74,6 +73,7 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
     from ..x11.faults import FaultPlan
     from ..x11.xserver import XServer
 
+    config = SessionConfig.from_flags(scenario.flags)
     server = XServer()
     plan = None
     if scenario.fault_spec:
@@ -81,9 +81,10 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
             FaultPlan.from_spec(scenario.fault_spec))
     journal = start_recording(
         server, name=scenario.name, script=scenario.setup_script,
-        maxlen=FUZZ_RING, fault_plan=scenario.fault_spec,
-        planted=scenario.planted, **scenario.flags)
-    flags = scenario.flags
+        config=config, maxlen=FUZZ_RING, fault_plan=scenario.fault_spec,
+        planted=scenario.planted)
+    swallowed: list = []
+    session = Session(server, config, journal=journal, errors=swallowed)
     violations: List[oracles.Violation] = []
     app_clients: Dict[str, int] = {}
     faulted = plan is not None
@@ -91,27 +92,15 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
         else set()
     steps_run = 0
     try:
-        try:
-            app = _build_app(server, scenario.name,
-                             scenario.setup_script,
-                             flags.get("cache_enabled", True),
-                             flags.get("compile_enabled", True),
-                             flags.get("buffering_enabled", True),
-                             flags.get("bytecode_enabled", True))
-        except Exception as error:
-            app = None
-            violations.extend(oracles.classify_swallowed(
-                [("new_app", error)], -1, faulted))
+        app = session.start(scenario.name, scenario.setup_script)
+        violations.extend(oracles.classify_swallowed(swallowed, -1,
+                                                     faulted))
         if app is not None:
             app_clients[app.name] = app.display.client.number
             for index, (kind, args) in enumerate(scenario.steps):
                 steps_run = index + 1
-                swallowed: list = []
-                args = list(args)
-                if kind in LOOP_KINDS:
-                    journal.input(kind, args)
-                created = apply_input(server, app, kind, args,
-                                      flags=flags, swallowed=swallowed)
+                del swallowed[:]
+                created = session.apply(kind, list(args))
                 if created is not None:
                     app_clients[created.name] = \
                         created.display.client.number
@@ -124,9 +113,10 @@ def run_scenario(scenario: Scenario, stop_on_violation: bool = True,
     finally:
         server.detach_journal()
         journal.close_sink()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
+        del swallowed[:]
+        session.close()
+        violations.extend(oracles.classify_swallowed(swallowed, None,
+                                                     faulted))
     violations.extend(oracles.check_dead_client_requests(journal))
     if check_replay and not violations:
         violations.extend(oracles.check_replay_identity(journal))

@@ -37,6 +37,8 @@ import json
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .session import SessionConfig
+
 #: Default capacity of the in-memory entry ring.
 JOURNAL_RING = 65536
 
@@ -112,15 +114,12 @@ class Journal:
     # -- recording ------------------------------------------------------
 
     def set_header(self, name: str = "", script: str = "",
-                   cache_enabled: bool = True,
-                   compile_enabled: bool = True,
-                   buffering_enabled: bool = True,
-                   bytecode_enabled: bool = True,
+                   config: Optional[SessionConfig] = None,
                    fault_plan: Optional[dict] = None,
                    planted: Optional[str] = None) -> None:
         """Record session metadata; embedded so journals are
         self-contained (a replay rebuilds the application from the
-        header's script and ablation flags, and re-installs the
+        header's script and ``config`` flags, and re-installs the
         header's fault plan so injected faults replay deterministically).
         ``planted`` names a test-only planted bug
         (:mod:`repro.fuzz.plants`) that must be active for the journal
@@ -128,10 +127,7 @@ class Journal:
         self.meta = {
             "k": "header", "v": FORMAT_VERSION, "name": name,
             "script": script,
-            "flags": {"cache_enabled": bool(cache_enabled),
-                      "compile_enabled": bool(compile_enabled),
-                      "buffering_enabled": bool(buffering_enabled),
-                      "bytecode_enabled": bool(bytecode_enabled)},
+            "flags": (config or SessionConfig()).to_flags(),
         }
         if fault_plan is not None:
             self.meta["fault_plan"] = fault_plan

@@ -5,13 +5,19 @@ replay needs: the session *inputs* (injected pointer/key events, event
 -loop pumps, clock advances, top-level script evaluations) and the
 resulting *wire stream* (every request that reached the server, in
 order).  :func:`replay_journal` rebuilds the application from the
-journal header — fresh :class:`~repro.x11.xserver.XServer`, fresh
-:class:`~repro.tk.TkApp`, the recorded setup script — re-injects the
-recorded inputs, and diffs the wire stream of the replay against the
-recording.  Because every clock in the simulator is virtual, a faithful
-implementation replays with **zero divergence**, which turns any
-captured session (a bug report, a perf regression, the checked-in
-golden session under ``examples/``) into a regression test.
+journal header — fresh :class:`~repro.x11.xserver.XServer`, the
+header's :class:`~repro.obs.session.SessionConfig`, the recorded
+setup script — re-injects the recorded inputs, and diffs the wire
+stream of the replay against the recording.  Recording
+(:func:`record_session`, the fuzz runner, a recording fleet session)
+and replay execute inputs through the one
+:class:`~repro.obs.session.Session` executor, so the two sides share
+their error semantics by construction; this module adds only the
+journal plumbing and the diff.  Because every clock in the simulator
+is virtual, a faithful implementation replays with **zero
+divergence**, which turns any captured session (a bug report, a perf
+regression, the checked-in golden session under ``examples/``) into a
+regression test.
 
 Ablation modes: the wire is *expected* to be invariant under the
 compile-once ablation (``compile_enabled`` trades CPU, not traffic),
@@ -33,11 +39,12 @@ without a plan stay fault-free on replay.
 
 from __future__ import annotations
 
-import io
 import sys
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .journal import Journal
+from .session import Session, SessionConfig
 
 #: Request types the resource cache (§3.3) exists to eliminate — the
 #: expected wire delta of replaying a capture with ``cache_enabled``
@@ -220,18 +227,16 @@ def _context(recorded: List[Tuple], replayed: List[Tuple],
 # ----------------------------------------------------------------------
 
 def start_recording(server, name: str = "session", script: str = "",
-                    cache_enabled: bool = True,
-                    compile_enabled: bool = True,
-                    buffering_enabled: bool = True,
-                    bytecode_enabled: bool = True,
+                    config: Optional[SessionConfig] = None,
                     sink: Optional[str] = None,
                     maxlen: Optional[int] = None,
                     fault_plan=None,
                     planted: Optional[str] = None) -> Journal:
     """Attach a fresh recording journal to ``server`` and return it.
 
-    ``fault_plan`` may be a live :class:`~repro.x11.faults.FaultPlan`
-    (installed on the server and serialized into the header) or an
+    ``config`` is written to the header's ``flags``.  ``fault_plan``
+    may be a live :class:`~repro.x11.faults.FaultPlan` (installed on
+    the server and serialized into the header) or an
     already-serialized spec dict (embedded verbatim; the caller
     installed the plan).  ``planted`` names the active test-only
     planted bug, if any, so regression journals know what to arm.
@@ -247,11 +252,7 @@ def start_recording(server, name: str = "session", script: str = "",
     journal = Journal(clock=lambda: server.time_ms,
                       maxlen=maxlen if maxlen is not None
                       else JOURNAL_RING, sink=sink)
-    journal.set_header(name=name, script=script,
-                       cache_enabled=cache_enabled,
-                       compile_enabled=compile_enabled,
-                       buffering_enabled=buffering_enabled,
-                       bytecode_enabled=bytecode_enabled,
+    journal.set_header(name=name, script=script, config=config,
                        fault_plan=fault_spec, planted=planted)
     journal.open_sink()
     server.attach_journal(journal)
@@ -260,10 +261,7 @@ def start_recording(server, name: str = "session", script: str = "",
 
 def record_session(script: str, steps: List[Tuple],
                    name: str = "session",
-                   cache_enabled: bool = True,
-                   compile_enabled: bool = True,
-                   buffering_enabled: bool = True,
-                   bytecode_enabled: bool = True,
+                   config: Optional[SessionConfig] = None,
                    sink: Optional[str] = None,
                    fault_plan=None,
                    planted: Optional[str] = None) -> Journal:
@@ -274,172 +272,37 @@ def record_session(script: str, steps: List[Tuple],
     — tuples like ``("warp_pointer", x, y)``, ``("press_button", 1)``,
     ``("press_key", "a")``, ``("update",)``, ``("eval", tclscript)``,
     ``("new_app", name, setupscript)`` — recording everything.  The
-    same drive logic replays the journal (:func:`replay_journal`), so
-    record and replay are symmetric by construction.
+    ``update``, ``advance`` and ``eval`` steps target the session's
+    application, whose name the journal records.  Steps run through
+    the same :class:`~repro.obs.session.Session` executor that
+    :func:`replay_journal` uses, with no error sink: an exception in
+    setup or in a step surfaces to the caller.  The one exception is
+    a header fault plan killing construction, which records a session
+    with no application.
     """
     from ..x11.xserver import XProtocolError, XServer
 
     server = XServer()
     journal = start_recording(server, name=name, script=script,
-                              cache_enabled=cache_enabled,
-                              compile_enabled=compile_enabled,
-                              buffering_enabled=buffering_enabled,
-                              bytecode_enabled=bytecode_enabled,
-                              sink=sink, fault_plan=fault_plan,
-                              planted=planted)
-    flags = {"cache_enabled": cache_enabled,
-             "compile_enabled": compile_enabled,
-             "buffering_enabled": buffering_enabled,
-             "bytecode_enabled": bytecode_enabled}
+                              config=config, sink=sink,
+                              fault_plan=fault_plan, planted=planted)
+    session = Session(server, config, journal=journal)
     try:
-        app = _build_app(server, name, script, cache_enabled,
-                         compile_enabled, buffering_enabled,
-                         bytecode_enabled)
-    except XProtocolError:
-        # A header fault plan can kill construction itself; the
-        # journal (and its replay) must survive that, so record the
-        # session as one with no application.  Anything else — a
-        # broken setup script — still surfaces to the caller.
-        if fault_plan is None:
-            server.detach_journal()
-            journal.close_sink()
-            raise
-        app = None
-    try:
+        try:
+            session.start(name, script)
+        except XProtocolError:
+            if fault_plan is None:
+                raise
         for step in steps:
-            kind, args = step[0], tuple(step[1:])
-            if kind == "update":
-                journal.input("update", (name,))
-                if app is not None:
-                    app.update()
-            elif kind == "advance":
-                journal.input("advance", (args[0], name))
-                if args[0] > server.time_ms:
-                    server.time_ms = args[0]
-                if app is not None:
-                    app.update()
-            elif kind == "eval":
-                journal.input("eval", (args[0], name))
-                if app is not None:
-                    app.interp.eval_top(args[0])
-                    app.update()
-            elif kind == "new_app":
-                journal.input("new_app", args)
-                apply_input(server, app, "new_app", list(args),
-                            flags=flags)
-            else:
-                # Server input injection: the xserver hooks record it.
-                getattr(server, kind)(*args)
+            kind, args = step[0], list(step[1:])
+            if kind in ("update", "advance", "eval"):
+                args.append(name)
+            session.apply(kind, args)
     finally:
         server.detach_journal()
         journal.close_sink()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
-        if app is not None and not app.destroyed:
-            app.destroy()
+        session.close()
     return journal
-
-
-def apply_input(server, default_app, name: str, args: List,
-                flags: Optional[dict] = None,
-                swallowed: Optional[List] = None,
-                transport=None):
-    """Execute one journal input against a live server/application set.
-
-    The same executor drives both sides: the fuzz runner journals an
-    input and then applies it through here, and :func:`replay_journal`
-    applies the recorded inputs through here — so the two runs have
-    identical error semantics by construction.  An exception raised by
-    a top-level ``eval``, a fault injected at an input's own request
-    tick, or an error escaping an event-loop pump is appended to
-    ``swallowed`` (when given) as ``(stage, exception)`` and the
-    session continues; the wire diff, not the exception, arbitrates
-    divergence.  Returns the new application for ``new_app`` inputs,
-    else ``None``.
-    """
-    if name == "new_app":
-        app_name = args[0]
-        script = args[1] if len(args) > 1 else ""
-        flags = dict(flags or {})
-        try:
-            return _build_app(server, app_name, script,
-                              flags.get("cache_enabled", True),
-                              flags.get("compile_enabled", True),
-                              flags.get("buffering_enabled", True),
-                              flags.get("bytecode_enabled", True),
-                              transport=transport)
-        except Exception as error:
-            if swallowed is not None:
-                swallowed.append(("new_app", error))
-            return None
-    if name == "update":
-        _pump(_app_named(server, default_app, args), swallowed)
-        return None
-    if name == "advance":
-        when = args[0]
-        if when > server.time_ms:
-            server.time_ms = when
-        _pump(_app_named(server, default_app, args[1:]), swallowed)
-        return None
-    if name == "eval":
-        app = _app_named(server, default_app, args[1:])
-        if app is not None:
-            try:
-                app.interp.eval_top(args[0])
-            except Exception as error:
-                if swallowed is not None:
-                    swallowed.append(("eval", error))
-        _pump(app, swallowed)
-        return None
-    # Server input injection: the xserver hooks journal it themselves.
-    # With a thread-hosted server (socket transports) the injection
-    # must run on the server thread, which also services the clients'
-    # mid-call output flushes.
-    host = getattr(server, "_wire_host", None)
-    try:
-        if host is not None and host.running:
-            host.inject(name, *args)
-        else:
-            getattr(server, name)(*args)
-    except Exception as error:
-        # A fault plan may fire at the input's own request tick; the
-        # input is already on the record, so both sides must survive
-        # the same injection.
-        if swallowed is not None:
-            swallowed.append(("inject", error))
-    return None
-
-
-def _pump(app, swallowed: Optional[List]) -> None:
-    """Run one application's event loop to quiescence, capturing any
-    escape (an escape is itself an oracle violation — see
-    :mod:`repro.fuzz.oracles` — but must not abort the session)."""
-    if app is None or app.destroyed:
-        return
-    try:
-        app.update()
-    except Exception as error:
-        if swallowed is not None:
-            swallowed.append(("pump", error))
-
-
-def _build_app(server, name: str, script: str, cache_enabled: bool,
-               compile_enabled: bool, buffering_enabled: bool,
-               bytecode_enabled: bool = True, transport=None):
-    from ..tcl.interp import Interp
-    from ..tk.app import TkApp
-    interp = Interp(compile_enabled=compile_enabled,
-                    bytecode_enabled=bytecode_enabled)
-    interp.stdout = io.StringIO()
-    app = TkApp(server, name=name, interp=interp,
-                cache_enabled=cache_enabled,
-                buffering_enabled=buffering_enabled,
-                transport=transport)
-    if script:
-        app.interp.eval_top(script)
-    app.update()
-    return app
 
 
 # ----------------------------------------------------------------------
@@ -456,10 +319,11 @@ def replay_journal(journal: Journal, mode: str = "default",
     ``mode`` selects the ablation flags and comparison policy from
     :data:`MODES`.  The setup script comes from the journal header
     unless ``script`` overrides it; ``setup`` (a callable taking the
-    fresh server and returning the driver app) replaces script-based
-    construction entirely for Python-driven sessions.  ``transport``
-    chooses how the rebuilt applications reach the server (None /
-    ``"loopback"`` / ``"socket"`` / a factory callable — see
+    fresh :class:`~repro.obs.session.Session` and returning the
+    driver app) replaces script-based construction entirely for
+    Python-driven sessions.  ``transport`` chooses how the rebuilt
+    applications reach the server (None / ``"loopback"`` /
+    ``"socket"`` / a factory callable — see
     :func:`repro.x11.transport.resolve_transport`); the wire stream is
     transport-invariant, so a journal recorded in-process must replay
     cleanly over a socket.
@@ -468,8 +332,11 @@ def replay_journal(journal: Journal, mode: str = "default",
     installed on the fresh server before the application is built, so
     recorded faults re-fire at the same request ticks.  The result
     carries the replay's own journal at ``result.replay_log`` (the
-    byte-identity oracle compares ``to_jsonl()`` of both sides).
+    byte-identity oracle compares ``to_jsonl()`` of both sides) and
+    the session's error sink at ``result.swallowed``.  A header whose
+    ``flags`` are malformed raises :class:`ValueError`.
     """
+    from ..x11.transport import shutdown_host
     from ..x11.xserver import XServer
 
     if mode not in MODES:
@@ -477,12 +344,7 @@ def replay_journal(journal: Journal, mode: str = "default",
                          % (mode, ", ".join(sorted(MODES))))
     policy = MODES[mode]
     header = journal.meta or {}
-    flags = dict(header.get("flags") or {})
-    flags.setdefault("cache_enabled", True)
-    flags.setdefault("compile_enabled", True)
-    flags.setdefault("buffering_enabled", True)
-    flags.setdefault("bytecode_enabled", True)
-    flags.update(policy["flags"])
+    config = replace(SessionConfig.from_header(header), **policy["flags"])
     if script is None:
         script = header.get("script") or ""
     name = header.get("name") or "replay"
@@ -497,45 +359,22 @@ def replay_journal(journal: Journal, mode: str = "default",
     # Pass the original spec dict through verbatim so a default-mode
     # replay's header — and therefore its whole JSONL — can match the
     # recording byte for byte.
-    replay_log.set_header(name=name, script=script,
+    replay_log.set_header(name=name, script=script, config=config,
                           fault_plan=fault_spec,
-                          planted=header.get("planted"), **flags)
+                          planted=header.get("planted"))
     server.attach_journal(replay_log)
     swallowed: List[Tuple[str, BaseException]] = []
-    if setup is not None:
-        app = setup(server)
-    else:
-        try:
-            app = _build_app(server, name, script,
-                             flags["cache_enabled"],
-                             flags["compile_enabled"],
-                             flags["buffering_enabled"],
-                             flags["bytecode_enabled"],
-                             transport=transport)
-        except Exception as error:
-            # A header fault plan can fire during construction itself;
-            # the recording survived that, so the replay must too.
-            app = None
-            swallowed.append(("new_app", error))
+    session = Session(server, config, transport=transport,
+                      journal=replay_log, errors=swallowed)
     try:
+        # A header fault plan can fire during construction itself; the
+        # recording survived that, so the replay must too.
+        session.start(name, script, setup=setup)
         for input_name, args in journal.inputs():
-            if input_name in ("update", "advance", "eval", "new_app"):
-                # Raw device inputs re-journal themselves inside the
-                # server; loop-level inputs must be re-recorded here so
-                # a default-mode replay log is entry-for-entry
-                # comparable with the recording (the fuzzer's
-                # byte-identity oracle).
-                replay_log.input(input_name, args)
-            apply_input(server, app, input_name, args, flags=flags,
-                        swallowed=swallowed, transport=transport)
+            session.apply(input_name, args)
     finally:
         server.detach_journal()
-        for extra in list(getattr(server, "apps", [])):
-            if not extra.destroyed:
-                extra.destroy()
-        if app is not None and not app.destroyed:
-            app.destroy()
-        from ..x11.transport import shutdown_host
+        session.close()
         shutdown_host(server)
     result = ReplayResult(mode, journal.wire(), replay_log.wire(),
                           policy["compare"], policy["allowed"],
@@ -543,15 +382,6 @@ def replay_journal(journal: Journal, mode: str = "default",
     result.replay_log = replay_log
     result.swallowed = swallowed
     return result
-
-
-def _app_named(server, default_app, args):
-    """Resolve an input entry's application by registered send name."""
-    if args:
-        for app in getattr(server, "apps", []):
-            if app.name == args[0] and not app.destroyed:
-                return app
-    return default_app
 
 
 def replay_all_modes(journal: Journal,
@@ -595,6 +425,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(usage)
         return 2
     journal = Journal.load(path)
+    try:
+        SessionConfig.from_header(journal.meta)
+    except ValueError as error:
+        sys.stderr.write("%s: bad journal header: %s\n" % (path, error))
+        return 2
     status = 0
     for mode in (modes or ["default"]):
         result = replay_journal(journal, mode=mode, transport=transport)
@@ -612,4 +447,4 @@ if __name__ == "__main__":  # pragma: no cover
 
 __all__ = ["MODES", "CACHE_REQUESTS", "BUFFER_REQUESTS", "ReplayResult",
            "start_recording", "record_session", "replay_journal",
-           "replay_all_modes", "apply_input", "main"]
+           "replay_all_modes", "main"]

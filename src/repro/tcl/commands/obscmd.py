@@ -148,16 +148,11 @@ def _journal(interp, obs, argv: List[str]) -> str:
             server.detach_journal()
             server.journal.close_sink()
         from ...obs.replay import start_recording
+        from ...obs.session import SessionConfig
         app = getattr(interp, "tk_app", None)
         start_recording(
-            server,
-            name=app.name if app is not None else "session",
-            cache_enabled=(app.cache.enabled if app is not None
-                           else True),
-            compile_enabled=getattr(interp, "compile_enabled", True),
-            buffering_enabled=(app.display.buffering_enabled
-                               if app is not None else True),
-            sink=sink)
+            server, name=app.name if app is not None else "session",
+            config=SessionConfig.from_interp(interp), sink=sink)
         return ""
     journal = server.journal
     if journal is None:

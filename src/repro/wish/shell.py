@@ -15,9 +15,9 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from ..obs.session import SessionConfig
 from ..tcl.errors import TclError
 from ..tcl.lists import format_list
-from ..tk.app import TkApp
 from ..x11.xserver import XServer
 from .procs import ProcessRegistry
 
@@ -34,14 +34,14 @@ class Wish:
                  buffering_enabled: bool = True,
                  bytecode_enabled: bool = True):
         self.server = server if server is not None else XServer()
-        from ..tcl.interp import Interp
-        interp = Interp(compile_enabled=compile_enabled,
-                        bytecode_enabled=bytecode_enabled)
-        self.app = TkApp(self.server, name=name, interp=interp,
-                         cache_enabled=cache_enabled,
-                         buffering_enabled=buffering_enabled)
+        config = SessionConfig(cache_enabled=cache_enabled,
+                               compile_enabled=compile_enabled,
+                               buffering_enabled=buffering_enabled,
+                               bytecode_enabled=bytecode_enabled)
+        self.app = config.build_app(
+            self.server, name,
+            stdout=stdout if stdout is not None else sys.stdout)
         self.interp = self.app.interp
-        self.interp.stdout = stdout if stdout is not None else sys.stdout
         self.registry = registry if registry is not None \
             else ProcessRegistry()
         self.interp.exec_handler = self.registry
@@ -152,9 +152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if script_file is not None:
             with open(script_file, "r") as handle:
                 script_text = handle.read()
-        journal = start_recording(server, name=name, script=script_text,
-                                  bytecode_enabled=bytecode_enabled,
-                                  sink=journal_out)
+        journal = start_recording(
+            server, name=name, script=script_text,
+            config=SessionConfig(bytecode_enabled=bytecode_enabled),
+            sink=journal_out)
     shell = Wish(server=server, name=name, argv=argv,
                  bytecode_enabled=bytecode_enabled)
     obs = shell.app.obs
@@ -193,6 +194,12 @@ def _replay_main(path: str, modes: List[str]) -> int:
 
     journal = Journal.load(path)
     header = journal.meta or {}
+    try:
+        SessionConfig.from_header(header)
+    except ValueError as error:
+        sys.stderr.write("wish: %s: bad journal header: %s\n"
+                         % (path, error))
+        return 2
     status = 0
     for mode in modes:
         if mode not in MODES:
@@ -200,17 +207,12 @@ def _replay_main(path: str, modes: List[str]) -> int:
                 'wish: unknown replay mode "%s" (choose from %s)\n'
                 % (mode, ", ".join(sorted(MODES))))
             return 2
-        flags = dict(header.get("flags") or {})
-        flags.setdefault("cache_enabled", True)
-        flags.setdefault("compile_enabled", True)
-        flags.setdefault("buffering_enabled", True)
-        flags.setdefault("bytecode_enabled", True)
-        flags.update(MODES[mode]["flags"])
 
-        def setup(server):
-            shell = Wish(server=server,
+        def setup(session):
+            shell = Wish(server=session.server,
                          name=header.get("name") or "wish",
-                         stdout=_io.StringIO(), **flags)
+                         stdout=_io.StringIO(),
+                         **session.config.to_flags())
             script = header.get("script") or ""
             if script:
                 shell.run_script(script)

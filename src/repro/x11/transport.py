@@ -2,7 +2,8 @@
 
 Two interchangeable implementations of the same contract sit between
 :class:`~repro.x11.display.Display` and
-:class:`~repro.x11.xserver.XServer`:
+:class:`~repro.x11.xserver.XServer`; both derive the opt-in frame
+capture and wall-clock RTT sampling from :class:`Transport`:
 
 :class:`LoopbackTransport`
     The default.  Requests still execute as direct method calls — so
@@ -74,7 +75,7 @@ from .xserver import XConnectionLost, XProtocolError, XServer
 from ..obs import trace as _trace
 
 __all__ = [
-    "LoopbackTransport", "SocketTransport", "ServerHost",
+    "Transport", "LoopbackTransport", "SocketTransport", "ServerHost",
     "ensure_host", "shutdown_host", "resolve_transport", "RTT_BUCKETS",
 ]
 
@@ -110,19 +111,11 @@ class _Telemetry:
                                          client=number, transport=kind)
 
 
-# ----------------------------------------------------------------------
-# loopback
-# ----------------------------------------------------------------------
+class Transport:
+    """What every transport shares: the opt-in frame capture log and
+    wall-clock RTT sampling."""
 
-class LoopbackTransport:
-    """In-process transport: wire accounting over direct method calls."""
-
-    kind = "loopback"
-
-    def __init__(self, server: XServer, client=None, verify: bool = False):
-        self.server = server
-        self.client = client if client is not None else server.connect()
-        self.verify = verify
+    def __init__(self):
         #: captured frames when :meth:`capture_wire` is active
         self.wire_log: Optional[List[bytes]] = None
         #: wall-clock RTT samples (ns) when :meth:`enable_wall_rtt` is on;
@@ -130,6 +123,32 @@ class LoopbackTransport:
         #: bit-identical across same-seed runs.
         self.wall_rtt_ns: Optional[List[int]] = None
         self._wall_clock: Optional[Callable[[], int]] = None
+
+    def capture_wire(self) -> List[bytes]:
+        """Start logging every frame; returns the live log list."""
+        self.wire_log = []
+        return self.wire_log
+
+    def enable_wall_rtt(self, clock: Callable[[], int]) -> List[int]:
+        self._wall_clock = clock
+        self.wall_rtt_ns = []
+        return self.wall_rtt_ns
+
+
+# ----------------------------------------------------------------------
+# loopback
+# ----------------------------------------------------------------------
+
+class LoopbackTransport(Transport):
+    """In-process transport: wire accounting over direct method calls."""
+
+    kind = "loopback"
+
+    def __init__(self, server: XServer, client=None, verify: bool = False):
+        super().__init__()
+        self.server = server
+        self.client = client if client is not None else server.connect()
+        self.verify = verify
         self._telemetry = _Telemetry(server, self.client.number,
                                      self.kind)
         self.client.transport_sink = self._sink_event
@@ -155,16 +174,6 @@ class LoopbackTransport:
 
     def register_flush_hook(self, hook: Callable[[], object]) -> None:
         self.client.flush_output = hook
-
-    def capture_wire(self) -> List[bytes]:
-        """Start logging every frame; returns the live log list."""
-        self.wire_log = []
-        return self.wire_log
-
-    def enable_wall_rtt(self, clock: Callable[[], int]) -> List[int]:
-        self._wall_clock = clock
-        self.wall_rtt_ns = []
-        return self.wall_rtt_ns
 
     # -- frame accounting ----------------------------------------------
     #
@@ -849,20 +858,18 @@ class _RemoteClient(wire.ClientRef):
         return q.popleft() if q else None
 
 
-class SocketTransport:
+class SocketTransport(Transport):
     """A Display's connection to a thread-hosted XServer over a socket."""
 
     kind = "socket"
 
     def __init__(self, host):
+        super().__init__()
         if isinstance(host, XServer):
             host = ensure_host(host)
         self.host: ServerHost = host
         self.server = host.server  # shared control plane (clock, obs)
         self.queue: deque = deque()
-        self.wire_log: Optional[List[bytes]] = None
-        self.wall_rtt_ns: Optional[List[int]] = None
-        self._wall_clock: Optional[Callable[[], int]] = None
         self._rbuf = bytearray()
         self._frames: deque = deque()
         self._closed = False
@@ -912,15 +919,6 @@ class SocketTransport:
 
     def register_flush_hook(self, hook: Callable[[], object]) -> None:
         self.host.register_display(self.number, hook, self)
-
-    def capture_wire(self) -> List[bytes]:
-        self.wire_log = []
-        return self.wire_log
-
-    def enable_wall_rtt(self, clock: Callable[[], int]) -> List[int]:
-        self._wall_clock = clock
-        self.wall_rtt_ns = []
-        return self.wall_rtt_ns
 
     # -- raw socket I/O ------------------------------------------------
 
@@ -1146,9 +1144,8 @@ def resolve_transport(server: XServer, spec=None):
         return LoopbackTransport(server)
     if spec == "socket":
         return SocketTransport(ensure_host(server))
-    if callable(spec) and not isinstance(spec, (LoopbackTransport,
-                                                SocketTransport)):
-        return resolve_transport(server, spec(server))
-    if isinstance(spec, (LoopbackTransport, SocketTransport)):
+    if isinstance(spec, Transport):
         return spec
+    if callable(spec):
+        return resolve_transport(server, spec(server))
     raise ValueError("unknown transport %r" % (spec,))

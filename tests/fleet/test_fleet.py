@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.fleet import (DEFAULT_SLOS, SLO, FleetDriver, SessionSpec,
-                         check_slos, format_slos, format_top,
+from repro.fleet import (DEFAULT_SLOS, SLO, FleetDriver, FleetSession,
+                         SessionSpec, check_slos, format_slos, format_top,
                          make_slow_spec)
 from repro.fleet.__main__ import build_specs, corpus_journals
+from repro.fuzz.gen import generate_scenario
+from repro.fuzz.runner import run_scenario
 from repro.obs import trace
 from repro.obs.journal import Journal
 from repro.obs.replay import replay_journal
@@ -81,6 +83,21 @@ class TestSessionSpec:
         journal.save(str(path))
         spec = SessionSpec.from_journal(str(path))
         assert spec.flags.get("planted") is None
+
+    def test_malformed_journal_flags_refuse_the_spec(self, tmp_path,
+                                                      capsys):
+        from repro.fleet.__main__ import main
+        path = tmp_path / "bad.journal"
+        journal = Journal()
+        journal.set_header(name="bad")
+        journal.meta["flags"]["vm_enabled"] = False
+        journal.save(str(path))
+        with pytest.raises(ValueError, match="vm_enabled"):
+            SessionSpec.from_journal(str(path))
+        assert main(["--journal", str(path), "--sessions", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "vm_enabled" in err
 
 
 class TestDriver:
@@ -233,6 +250,29 @@ class TestSlowSession:
         summary = result.summary()
         assert summary["faulted"] == 1
         assert summary["faults_injected"] > 0
+
+
+class TestExecutorEquivalence:
+    """A recording solo fleet session and the fuzz runner drive the
+    same inputs through the same executor, so their journals -- header
+    included -- are byte-identical.  Seeds 0-9 cover fault plans
+    (0, 2, 5, 6), ablation flags (2, 4, 6-9) and multi-app steps."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_recording_fleet_session_matches_fuzz_journal(self, seed,
+                                                          tmp_path):
+        fuzz = run_scenario(generate_scenario(seed), check_replay=False)
+        assert fuzz.steps_run == len(fuzz.scenario.steps)
+        path = str(tmp_path / "fleet.journal")
+        spec = SessionSpec.from_seed(seed)
+        spec.record_path = path
+        session = FleetSession("s000", spec, XServer())
+        session.launch()
+        while session.step():
+            pass
+        session.finish()
+        with open(path) as handle:
+            assert handle.read() == fuzz.journal.to_jsonl()
 
 
 class TestSLOs:

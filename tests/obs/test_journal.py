@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.journal import FORMAT_VERSION, Journal
 from repro.obs.replay import record_session, start_recording
+from repro.obs.session import SessionConfig
 from repro.tk import TkApp
 from repro.x11 import XServer
 from repro.x11.faults import FaultPlan
@@ -126,7 +127,7 @@ class TestDeterminism:
 
     def test_header_embeds_script_and_flags(self):
         journal = record_session(SCRIPT, STEPS, name="det",
-                                 cache_enabled=False)
+                                 config=SessionConfig(cache_enabled=False))
         assert journal.meta["v"] == FORMAT_VERSION
         assert journal.meta["name"] == "det"
         assert "button .b" in journal.meta["script"]
@@ -199,6 +200,30 @@ class TestTclCommand:
         assert len(server.journal) == 0
         assert first.recording is False
         app.interp.eval("obs journal stop")
+
+    def test_start_records_the_live_tier_config(self, server):
+        # A journal started from a tree-walking interpreter records
+        # that tier, and its replay runs on the tree walker too.
+        import io
+
+        from repro.obs.replay import replay_journal
+        from repro.tcl import Interp
+        interp = Interp(bytecode_enabled=False)
+        interp.stdout = io.StringIO()
+        walker = TkApp(server, name="walker", interp=interp)
+        walker.interp.eval("obs journal start")
+        journal = server.journal
+        walker.interp.eval("obs journal stop")
+        assert journal.meta["flags"] == \
+            SessionConfig(bytecode_enabled=False).to_flags()
+        built = []
+
+        def setup(session):
+            built.append(session.new_app("walker"))
+            return built[0]
+
+        replay_journal(journal, setup=setup)
+        assert built[0].interp.bytecode_enabled is False
 
     def test_dump_without_journal_is_an_error(self, server, app):
         from repro.tcl.errors import TclError

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.journal import Journal
 from repro.obs.replay import (MODES, record_session, replay_all_modes,
                               replay_journal)
+from repro.obs.session import SessionConfig
 
 SCRIPT = """
 button .b -text Hello -command {set ::clicked 1}
@@ -166,6 +167,73 @@ class TestCli:
         path = tmp_path / "bad.journal"
         perturbed.save(str(path))
         assert main([str(path)]) == 1
+
+    @pytest.mark.parametrize("flags, key", [
+        ({"vm_enabled": False}, "vm_enabled"),
+        ({"cache_enabled": "no"}, "cache_enabled"),
+    ])
+    def test_cli_malformed_header_flags_exit_two(self, tmp_path, session,
+                                                 capsys, flags, key):
+        from repro.obs.replay import main
+        journal = Journal.loads(session.to_jsonl())
+        journal.meta = dict(journal.meta,
+                            flags=dict(journal.meta["flags"], **flags))
+        path = tmp_path / "bad-flags.journal"
+        journal.save(str(path))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert key in err
+
+
+class TestRecordErrors:
+    """Recording has no error sink: failures surface to the caller."""
+
+    def test_broken_setup_script_raises(self):
+        from repro.tcl.errors import TclError
+        with pytest.raises(TclError, match="nosuchcmd"):
+            record_session("nosuchcmd", [], name="broken")
+
+    def test_raising_step_eval_raises(self):
+        from repro.tcl.errors import TclError
+        with pytest.raises(TclError, match="nosuchcmd"):
+            record_session(SCRIPT, [("eval", "nosuchcmd")], name="step")
+
+
+class TestSessionConfig:
+    def test_header_flags_round_trip(self, session):
+        config = SessionConfig.from_header(session.meta)
+        assert config == SessionConfig()
+        assert config.to_flags() == session.meta["flags"]
+        assert list(config.to_flags()) == [
+            "cache_enabled", "compile_enabled", "buffering_enabled",
+            "bytecode_enabled"]
+
+    def test_absent_keys_stay_on(self):
+        assert SessionConfig.from_flags({"cache_enabled": False}) == \
+            SessionConfig(cache_enabled=False)
+        assert SessionConfig.from_header({}) == SessionConfig()
+
+    @pytest.mark.parametrize("flags, key", [
+        ({"vm_enabled": False}, "vm_enabled"),
+        ({"compile_enabled": "no"}, "compile_enabled"),
+    ])
+    def test_replay_refuses_malformed_header(self, session, flags, key):
+        journal = Journal.loads(session.to_jsonl())
+        journal.meta = dict(journal.meta, flags=flags)
+        with pytest.raises(ValueError, match=key):
+            replay_journal(journal)
+
+    def test_mode_overrides_header_config(self, session):
+        seen = []
+
+        def setup(replay_session):
+            seen.append(replay_session.config)
+            return replay_session.new_app("replaytest", SCRIPT)
+
+        assert replay_journal(session, mode="bytecode_off",
+                              setup=setup).matched
+        assert seen == [SessionConfig(bytecode_enabled=False)]
 
 
 class TestFaultedReplay:

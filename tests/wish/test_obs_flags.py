@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.wish.shell import main
 
 SCRIPT = 'button .b -text hi\npack append . .b {top}\nupdate\ndestroy .\n'
@@ -110,3 +112,22 @@ class TestJournalFlag:
                        "--replay-mode", "bogus"])
         assert status == 2
         assert "unknown replay mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        ({"vm_enabled": False}, "vm_enabled"),
+        ({"cache_enabled": "no"}, "cache_enabled"),
+    ])
+    def test_malformed_header_flags_exit_two(self, tmp_path, capsys,
+                                             flags, key):
+        out = tmp_path / "session.journal"
+        assert main(["--journal", str(out), "-f",
+                     _write_script(tmp_path)]) == 0
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["flags"].update(flags)
+        out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["--replay", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert key in err
