@@ -56,7 +56,14 @@ to the server thread; when the server-side flush hook for a socket
 client fires, the host posts a flush request back to the calling
 thread, serves that client's frames until a MARK fence arrives, and
 only then lets the injector continue — reproducing the exact journal
-ordering of the in-process path.
+ordering of the in-process path.  A client whose Display has nothing
+buffered, or that has no Display, is skipped without a fence: its
+thread is parked in the call, so none of its frames can be in flight.
+
+A request frame naming no public server request, or whose handler
+fails with anything but an X error, is answered with an ERROR frame
+carrying :class:`~repro.x11.xserver.XProtocolError`; the host keeps
+serving.  (Over loopback the same mistakes raise in-process.)
 """
 
 from __future__ import annotations
@@ -443,7 +450,7 @@ class _HostCall:
         self.result = None
         self.error = None
         #: ("flush", client_number) requests and the final ("done",)
-        self.requests: "queue.Queue" = queue.Queue()
+        self.requests: "queue.SimpleQueue" = queue.SimpleQueue()
 
 
 class ServerHost:
@@ -469,8 +476,10 @@ class ServerHost:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._active_call: Optional[_HostCall] = None
-        #: client number -> (display flush hook, SocketTransport)
-        self._flushers: Dict[int, Tuple[Callable, "SocketTransport"]] = {}
+        #: client number -> (display flush hook, SocketTransport, the
+        #: Display's buffered-request count)
+        self._flushers: Dict[int, Tuple[Callable, "SocketTransport",
+                                        Callable[[], int]]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -506,7 +515,11 @@ class ServerHost:
 
     def register_display(self, number: int, flush_hook: Callable,
                          transport: "SocketTransport") -> None:
-        self._flushers[number] = (flush_hook, transport)
+        # The hook is a Display's bound _flush_for_server; its
+        # pending_output tells an injection whether a drain would move
+        # anything.
+        self._flushers[number] = (flush_hook, transport,
+                                  flush_hook.__self__.pending_output)
 
     def _wake(self) -> None:
         try:
@@ -523,7 +536,8 @@ class ServerHost:
         requests the server posts for socket-backed Displays — the
         socket analogue of ``_drain_client_output`` — so buffered
         output crosses the wire at exactly the same point it would
-        in-process.
+        in-process.  Only Displays with buffered output are asked: an
+        idle connection costs no flush request and no MARK fence.
         """
         if threading.current_thread() is self._thread:
             return fn()
@@ -538,14 +552,12 @@ class ServerHost:
             if item[0] == "done":
                 break
             if item[0] == "flush":
-                entry = self._flushers.get(item[1])
-                if entry is not None:
-                    hook, transport = entry
-                    try:
-                        hook()
-                    except XProtocolError:
-                        pass
-                    transport.send_mark()
+                hook, transport, _ = self._flushers[item[1]]
+                try:
+                    hook()
+                except XProtocolError:
+                    pass
+                transport.send_mark()
         if call.error is not None:
             raise call.error
         return call.result
@@ -676,70 +688,8 @@ class ServerHost:
         if conn.client is None:
             self._drop_conn(conn)
             return
-        if ftype == wire.BATCH:
-            ops = [tuple(op) for op in value]
-            prev_ctx = server._trace_ctx
-            server._trace_ctx = ctx
-            try:
-                delivered = server.deliver_batch(conn.client, ops)
-            except XConnectionLost as error:
-                conn.lost_sent = True
-                conn.send_error(error)
-                conn.flush_writes()
-                conn.close()
-            except XProtocolError as error:
-                conn.send_error(error)
-            else:
-                conn.send(wire.encode_frame(wire.BATCH_ACK, delivered))
-            finally:
-                server._trace_ctx = prev_ctx
-            return
-        if ftype == wire.REQUEST:
-            name, args, kwargs = value
-            server._jclient = conn.client.number
-            prev_ctx = server._trace_ctx
-            server._trace_ctx = ctx
-            try:
-                result = getattr(server, name)(*args, **kwargs)
-            except XConnectionLost as error:
-                conn.lost_sent = True
-                conn.send_error(error)
-                conn.flush_writes()
-                conn.close()
-            except XProtocolError as error:
-                conn.send_error(error)
-            else:
-                try:
-                    reply = wire.encode_frame(wire.REPLY, result)
-                except wire.WireError as error:
-                    conn.send_error(XProtocolError(
-                        "unencodable reply from %s: %s" % (name, error)))
-                else:
-                    conn.send(reply)
-            finally:
-                server._trace_ctx = prev_ctx
-            if conn.client.closed:
-                server._scrub_closed(conn.client)
-            return
-        if ftype == wire.ONEWAY:
-            name, _window, args, kwargs = value
-            prev_ctx = server._trace_ctx
-            server._trace_ctx = ctx
-            try:
-                getattr(server, name)(*args, **kwargs)
-            except XConnectionLost as error:
-                conn.lost_sent = True
-                conn.send_error(error)
-                conn.flush_writes()
-                conn.close()
-            except XProtocolError as error:
-                conn.send_error(error)
-            else:
-                conn.send(wire.encode_frame(wire.ONEWAY_ACK, None))
-            finally:
-                server._trace_ctx = prev_ctx
-            if conn.client.closed:
-                server._scrub_closed(conn.client)
+        if ftype in (wire.BATCH, wire.REQUEST, wire.ONEWAY):
+            self._serve_request(conn, ftype, value, ctx)
             return
         if ftype == wire.BYE:
             server.disconnect(conn.client)
@@ -749,6 +699,67 @@ class ServerHost:
         if ftype == wire.MARK:
             return  # stray fence outside a drain: nothing to coordinate
         self._drop_conn(conn)
+
+    def _serve_request(self, conn: _Conn, ftype: int, value,
+                       ctx: Optional[int]) -> None:
+        """Run a BATCH, REQUEST or ONEWAY frame and answer it.
+
+        X errors cross the wire typed.  Anything else the request does
+        wrong — naming no public server request, a malformed payload, a
+        handler raising a non-X exception — is answered with an
+        XProtocolError naming the request, so one bad frame cannot kill
+        the host thread.
+        """
+        server = self.server
+        name = wire.frame_name(ftype)
+        prev_ctx = server._trace_ctx
+        server._trace_ctx = ctx
+        try:
+            if ftype == wire.BATCH:
+                ops = [tuple(op) for op in value]
+                for op in ops:
+                    self._handler(op[0])
+                reply = wire.encode_frame(
+                    wire.BATCH_ACK, server.deliver_batch(conn.client, ops))
+            elif ftype == wire.REQUEST:
+                name, args, kwargs = value
+                server._jclient = conn.client.number
+                result = self._handler(name)(*args, **kwargs)
+                try:
+                    reply = wire.encode_frame(wire.REPLY, result)
+                except wire.WireError as error:
+                    raise XProtocolError("unencodable reply from %s: %s"
+                                         % (name, error))
+            else:
+                name, _window, args, kwargs = value
+                self._handler(name)(*args, **kwargs)
+                reply = wire.encode_frame(wire.ONEWAY_ACK, None)
+        except XConnectionLost as error:
+            conn.lost_sent = True
+            conn.send_error(error)
+            conn.flush_writes()
+            conn.close()
+        except XProtocolError as error:
+            conn.send_error(error)
+        except Exception as error:
+            conn.send_error(XProtocolError(
+                "BadRequest: %s failed: %s: %s"
+                % (name, type(error).__name__, error)))
+        else:
+            conn.send(reply)
+        finally:
+            server._trace_ctx = prev_ctx
+        if ftype != wire.BATCH and conn.client.closed:
+            server._scrub_closed(conn.client)
+
+    def _handler(self, name):
+        """The server method a request names; private names are refused."""
+        handler = None
+        if type(name) is str and not name.startswith("_"):
+            handler = getattr(self.server, name, None)
+        if not callable(handler):
+            raise XProtocolError("BadRequest: no such request %r" % (name,))
+        return handler
 
     def _drop_conn(self, conn: _Conn) -> None:
         """Protocol violation or EOF without BYE: server-side close."""
@@ -775,13 +786,34 @@ class ServerHost:
     # -- input-injection drain (MARK protocol) -------------------------
 
     def _make_flush_hook(self, conn: _Conn) -> Callable[[], None]:
+        """The server-side flush hook of one socket client.
+
+        Inside a :meth:`call`, it asks the calling thread to flush the
+        client's Display and serves the client's frames up to the MARK
+        fence.  A client with nothing buffered, or with no Display
+        registered, is skipped: the protocol is ack-synchronous, so
+        while the calling thread is parked in :meth:`call` none of its
+        frames are in flight, and an empty flush would send nothing.
+        """
         def hook() -> None:
             call = self._active_call
-            if call is None or conn.closed or conn.client.closed:
+            if call is None or conn.closed or conn.client.closed or \
+                    not self._has_output(conn.client.number):
                 return
             call.requests.put(("flush", conn.client.number))
             self._serve_until_mark(conn)
         return hook
+
+    def _has_output(self, number: int) -> bool:
+        """Whether client ``number``'s Display holds buffered requests.
+
+        Read on the server thread while the Display's own thread is
+        parked in :meth:`call`, as the flush itself assumes.  A stashed
+        asynchronous error alone does not count: flushing an empty
+        buffer just stashes it again.
+        """
+        entry = self._flushers.get(number)
+        return entry is not None and entry[2]() > 0
 
     def _serve_until_mark(self, conn: _Conn) -> None:
         """Serve one client's frames until its MARK fence arrives.

@@ -62,6 +62,17 @@ input, and trailing bytes all raise :class:`WireError`.  Nothing here
 depends on wall time or interpreter identity, so the same session
 produces the same bytes on every run — the transport tests compare
 whole wire logs across transports for equality.
+
+The encoder and decoder try exact types (and the tags they produce)
+first, ahead of the general branches.  A server-built Event — sixteen
+ints within i64, two ASCII strings, empty ``data``, a bool — is encoded
+by three packs and decoded by one unpack per part
+(:func:`_encode_event`, :func:`_decode_event`); any other shape, and
+any malformed input, takes the general field-by-field path.  These fast
+paths define nothing: ``tests/x11/test_wire.py`` (``TestEventCodec``)
+runs them in lockstep with the general path and requires the same
+bytes, the same decoded fields and types, one serial per decoded event
+and the same :class:`WireError` on every truncated or mangled frame.
 """
 
 from __future__ import annotations
@@ -164,6 +175,11 @@ T_SPAN = 0x12
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+#: a tag byte and its i64 or u32 operand, packed in one call
+_TAGGED_I64 = struct.Struct(">Bq")
+_TAGGED_U32 = struct.Struct(">BI")
+
+_EVENT_FIELD_COUNT = len(WIRE_FIELDS)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -202,6 +218,33 @@ def frame_name(ftype: int) -> str:
 # ----------------------------------------------------------------------
 
 def _encode_value(value, out: bytearray) -> None:
+    # Exact-type fast paths for what requests and events are made of.
+    # Bools, big ints, subclasses and every other value fall through to
+    # the isinstance chain below, which defines the encoding.
+    kind = type(value)
+    if kind is int:
+        if _I64_MIN <= value <= _I64_MAX:
+            out += _TAGGED_I64.pack(T_INT, value)
+            return
+    elif kind is str:
+        raw = value.encode("utf-8")
+        out += _TAGGED_U32.pack(T_STR, len(raw))
+        out += raw
+        return
+    elif kind is tuple or kind is list:
+        out += _TAGGED_U32.pack(T_TUPLE if kind is tuple else T_LIST,
+                                len(value))
+        for item in value:
+            _encode_value(item, out)
+        return
+    elif kind is dict:
+        out += _TAGGED_U32.pack(T_DICT, len(value))
+        for key, item in value.items():
+            _encode_value(key, out)
+            _encode_value(item, out)
+        return
+    elif kind is Event and _encode_event(value, out):
+        return
     if value is None:
         out.append(T_NONE)
     elif value is True:
@@ -280,6 +323,60 @@ def _encode_value(value, out: bytearray) -> None:
     else:
         raise WireError("unencodable value of type %s: %r"
                         % (type(value).__name__, value))
+
+
+#: The common-shape Event on the wire, in three parts around its two
+#: strings' characters: the tag, field count, seven tagged i64s and
+#: keysym's string header; keychar's string header (_TAGGED_U32); nine
+#: tagged i64s, the empty data tuple and the send_event bool.
+_EVENT_HEAD = struct.Struct(">BB" + "Bq" * 7 + "BI")
+_EVENT_TAIL = struct.Struct(">" + "Bq" * 9 + "BIB")
+
+
+def _encode_event(event, out: bytearray) -> bool:
+    # The straight-line twin of _event_size: a server-built Event (exact
+    # ints within i64, ASCII strings, empty data, a bool) is encoded by
+    # three packs.  Any other shape returns False, leaving ``out``
+    # untouched, and is encoded field by field by _encode_value.
+    fields = event.__dict__
+    kind, window, x = fields["type"], fields["window"], fields["x"]
+    y, x_root, y_root = fields["y"], fields["x_root"], fields["y_root"]
+    state, keysym = fields["state"], fields["keysym"]
+    keychar, button = fields["keychar"], fields["button"]
+    width, height, time = fields["width"], fields["height"], fields["time"]
+    atom, selection = fields["atom"], fields["selection"]
+    target, property_ = fields["target"], fields["property"]
+    requestor, data = fields["requestor"], fields["data"]
+    send_event = fields["send_event"]
+    if not (type(kind) is int and type(window) is int and type(x) is int
+            and type(y) is int and type(x_root) is int and
+            type(y_root) is int and type(state) is int and
+            type(keysym) is str and type(keychar) is str and
+            type(button) is int and type(width) is int and
+            type(height) is int and type(time) is int and
+            type(atom) is int and type(selection) is int and
+            type(target) is int and type(property_) is int and
+            type(requestor) is int and type(data) is tuple and
+            not data and (send_event is False or send_event is True) and
+            keysym.isascii() and keychar.isascii()):
+        return False
+    try:
+        head = _EVENT_HEAD.pack(
+            T_EVENT, _EVENT_FIELD_COUNT, T_INT, kind, T_INT, window,
+            T_INT, x, T_INT, y, T_INT, x_root, T_INT, y_root, T_INT, state,
+            T_STR, len(keysym))
+        tail = _EVENT_TAIL.pack(
+            T_INT, button, T_INT, width, T_INT, height, T_INT, time,
+            T_INT, atom, T_INT, selection, T_INT, target, T_INT, property_,
+            T_INT, requestor, T_TUPLE, 0, T_TRUE if send_event else T_FALSE)
+    except struct.error:
+        return False            # an int outside i64
+    out += head
+    out += keysym.encode("ascii")
+    out += _TAGGED_U32.pack(T_STR, len(keychar))
+    out += keychar.encode("ascii")
+    out += tail
+    return True
 
 
 def encode_frame(ftype: int, value=None, ctx: Optional[int] = None
@@ -474,48 +571,84 @@ def _need(data: bytes, offset: int, count: int) -> None:
                         "have %d" % (count, offset, len(data) - offset))
 
 
+#: _EVENT_HEAD and _EVENT_TAIL with the tag bytes skipped, for decoding;
+#: the tags they skip, compared as one stepped slice each
+_EVENT_HEAD_IN = struct.Struct(">" + "xq" * 7 + "xI")
+_EVENT_TAIL_IN = struct.Struct(">" + "xq" * 9 + "xIB")
+_EVENT_HEAD_TAGS = bytes((T_INT,) * 7 + (T_STR,))
+_EVENT_TAIL_TAGS = bytes((T_INT,) * 9 + (T_TUPLE,))
+
+
+def _decode_event(data: bytes, offset: int):
+    # The straight-line twin of _encode_event, from just past the
+    # T_EVENT tag: an event whose tags match the common shape decodes
+    # with one unpack per part.  Anything else — other tags, a short
+    # buffer, invalid UTF-8 — returns None before an Event (and its
+    # serial) is made, and _decode_value decodes or rejects it field by
+    # field.
+    # Tags sit every nine bytes: seven T_INTs then keysym's T_STR in the
+    # head (slice of 64), nine T_INTs then data's T_TUPLE in the tail (82).
+    head = offset + 1
+    end = len(data)
+    if head + _EVENT_HEAD_IN.size > end or \
+            data[offset] != _EVENT_FIELD_COUNT or \
+            data[head:head + 64:9] != _EVENT_HEAD_TAGS:
+        return None
+    kind, window, x, y, x_root, y_root, state, length = \
+        _EVENT_HEAD_IN.unpack_from(data, head)
+    start = head + _EVENT_HEAD_IN.size
+    stop = start + length
+    if stop + 5 > end or data[stop] != T_STR:
+        return None
+    keysym = data[start:stop]
+    start = stop + 5
+    stop = start + _U32.unpack_from(data, stop + 1)[0]
+    tail = stop + _EVENT_TAIL_IN.size
+    if tail > end or data[stop:stop + 82:9] != _EVENT_TAIL_TAGS:
+        return None
+    (button, width, height, time, atom, selection, target, property_,
+     requestor, count, flag) = _EVENT_TAIL_IN.unpack_from(data, stop)
+    if count or (flag != T_TRUE and flag != T_FALSE):
+        return None
+    try:
+        keysym = keysym.decode("utf-8")
+        keychar = data[start:stop].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return Event(kind, window, x, y, x_root, y_root, state, keysym,
+                 keychar, button, width, height, time, atom, selection,
+                 target, property_, requestor, (),
+                 send_event=flag == T_TRUE), tail
+
+
 def _decode_value(data: bytes, offset: int,
                   resolve_client: Optional[Callable[[int], object]]):
-    _need(data, offset, 1)
+    # The common tags come first, each behind one inline bounds check;
+    # _need is called only to raise the truncation error.
+    end = len(data)
+    if offset >= end:
+        _need(data, offset, 1)
     tag = data[offset]
     offset += 1
-    if tag == T_NONE:
-        return None, offset
-    if tag == T_TRUE:
-        return True, offset
-    if tag == T_FALSE:
-        return False, offset
     if tag == T_INT:
-        _need(data, offset, 8)
+        if offset + 8 > end:
+            _need(data, offset, 8)
         return _I64.unpack_from(data, offset)[0], offset + 8
-    if tag == T_BIGINT:
-        _need(data, offset, 4)
-        length = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        _need(data, offset, length)
-        raw = data[offset:offset + length]
-        return int.from_bytes(raw, "big", signed=True), offset + length
     if tag == T_STR:
-        _need(data, offset, 4)
-        length = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        _need(data, offset, length)
+        if offset + 4 > end:
+            _need(data, offset, 4)
+        start = offset + 4
+        stop = start + _U32.unpack_from(data, offset)[0]
+        if stop > end:
+            _need(data, start, stop - start)
         try:
-            text = data[offset:offset + length].decode("utf-8")
+            text = data[start:stop].decode("utf-8")
         except UnicodeDecodeError as error:
             raise WireError("invalid UTF-8 in string value: %s" % error)
-        return text, offset + length
-    if tag == T_BYTES:
-        _need(data, offset, 4)
-        length = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        _need(data, offset, length)
-        return bytes(data[offset:offset + length]), offset + length
-    if tag == T_FLOAT:
-        _need(data, offset, 8)
-        return _F64.unpack_from(data, offset)[0], offset + 8
-    if tag in (T_LIST, T_TUPLE):
-        _need(data, offset, 4)
+        return text, stop
+    if tag == T_TUPLE or tag == T_LIST:
+        if offset + 4 > end:
+            _need(data, offset, 4)
         count = _U32.unpack_from(data, offset)[0]
         offset += 4
         items = []
@@ -524,7 +657,8 @@ def _decode_value(data: bytes, offset: int,
             items.append(item)
         return (items if tag == T_LIST else tuple(items)), offset
     if tag == T_DICT:
-        _need(data, offset, 4)
+        if offset + 4 > end:
+            _need(data, offset, 4)
         count = _U32.unpack_from(data, offset)[0]
         offset += 4
         result = {}
@@ -533,7 +667,16 @@ def _decode_value(data: bytes, offset: int,
             item, offset = _decode_value(data, offset, resolve_client)
             result[key] = item
         return result, offset
+    if tag == T_NONE:
+        return None, offset
+    if tag == T_TRUE:
+        return True, offset
+    if tag == T_FALSE:
+        return False, offset
     if tag == T_EVENT:
+        decoded = _decode_event(data, offset)
+        if decoded is not None:
+            return decoded
         _need(data, offset, 1)
         count = data[offset]
         offset += 1
@@ -545,6 +688,22 @@ def _decode_value(data: bytes, offset: int,
             fields[name], offset = _decode_value(data, offset,
                                                  resolve_client)
         return Event(**fields), offset
+    if tag == T_BIGINT:
+        _need(data, offset, 4)
+        length = _U32.unpack_from(data, offset)[0]
+        offset += 4
+        _need(data, offset, length)
+        raw = data[offset:offset + length]
+        return int.from_bytes(raw, "big", signed=True), offset + length
+    if tag == T_BYTES:
+        _need(data, offset, 4)
+        length = _U32.unpack_from(data, offset)[0]
+        offset += 4
+        _need(data, offset, length)
+        return bytes(data[offset:offset + length]), offset + length
+    if tag == T_FLOAT:
+        _need(data, offset, 8)
+        return _F64.unpack_from(data, offset)[0], offset + 8
     if tag == T_GC:
         gid, offset = _decode_value(data, offset, resolve_client)
         values, offset = _decode_value(data, offset, resolve_client)

@@ -9,6 +9,7 @@ targeted coverage of its own.
 """
 
 import selectors
+import time
 
 import pytest
 
@@ -238,6 +239,125 @@ class TestSocketTransport:
                 shutdown_host(server)
 
         assert run("loopback") == run("socket")
+
+
+class TestDrainFence:
+    """Input injection drains only the socket Displays that hold
+    buffered output: one flush request and one MARK fence each."""
+
+    @staticmethod
+    def count_fences(monkeypatch, host, displays):
+        marks, flushes = [], []
+        for display in displays:
+            transport = display.transport
+
+            def send_mark(send=transport.send_mark,
+                          number=display.client.number):
+                marks.append(number)
+                send()
+            monkeypatch.setattr(transport, "send_mark", send_mark)
+
+        def serve_until_mark(conn, serve=host._serve_until_mark):
+            flushes.append(conn.client.number)
+            serve(conn)
+        monkeypatch.setattr(host, "_serve_until_mark", serve_until_mark)
+        return marks, flushes
+
+    def test_idle_displays_pay_no_fence(self, server, monkeypatch):
+        displays = [socket_display(server, buffering_enabled=True)
+                    for _ in range(2)]
+        for display in displays:
+            win = display.create_window(display.root, 0, 0, 50, 50)
+            display.select_input(win, ev.POINTER_MOTION_MASK)
+            display.map_window(win)
+            display.flush()
+        host = server._wire_host
+        marks, flushes = self.count_fences(monkeypatch, host, displays)
+        host.inject("warp_pointer", 5, 5)
+        host.inject("press_button", 1)
+        assert marks == [] and flushes == []
+        assert [display.pending() for display in displays] == [0, 1]
+
+    def test_buffered_request_is_fenced_before_the_input(
+            self, server, monkeypatch):
+        display = socket_display(server, buffering_enabled=True)
+        idle = socket_display(server, buffering_enabled=True)
+        win = display.create_window(display.root, 0, 0, 100, 100)
+        display.map_window(win)
+        display.flush()
+        display.select_input(win, ev.POINTER_MOTION_MASK)
+        assert display.pending_output() == 1
+        host = server._wire_host
+        marks, flushes = self.count_fences(monkeypatch, host,
+                                           [display, idle])
+        host.inject("warp_pointer", 10, 20)
+        number = display.client.number
+        assert marks == [number] and flushes == [number]
+        assert display.pending_output() == 0
+        # the motion was delivered under the mask the drain delivered
+        event = display.next_event()
+        assert (event.type, event.window, event.x, event.y) == \
+            (ev.MOTION_NOTIFY, win, 10, 20)
+        assert display.pending() == 0
+
+    def test_injection_with_a_bare_client_connected(self, server):
+        # a SocketTransport with no Display registers no flush hook:
+        # injecting must neither wait for its fence nor disconnect it
+        host = ensure_host(server)
+        bare = SocketTransport(host)
+        display = socket_display(server)
+        started = time.monotonic()
+        host.inject("warp_pointer", 5, 5)
+        host.inject("press_button", 1)
+        assert time.monotonic() - started < 1.0
+        assert not bare.connection_closed
+        bare.request("sync")
+        display.sync()
+
+
+class TestBadRequests:
+    """A request frame the server cannot run is answered with an
+    XProtocolError naming it; the host thread lives on and keeps
+    serving the sender and every other client."""
+
+    @pytest.mark.parametrize("send, named", [
+        (lambda t: t.request("no_such_request"), "no_such_request"),
+        (lambda t: t.request("_tick", "x"), "_tick"),
+        (lambda t: t.request("__class__"), "__class__"),
+        (lambda t: t.request("clients"), "clients"),  # not a method
+        (lambda t: t.request("get_geometry"), "get_geometry"),  # arity
+        (lambda t: t.oneway("no_such_request", 0, (), {}),
+         "no_such_request"),
+        (lambda t: t.oneway("map_window", 0, (1, 2, 3), {}),
+         "map_window"),
+        (lambda t: t.deliver_batch([("no_such_request", 0, (), {})]),
+         "no_such_request"),
+        (lambda t: t.deliver_batch([("_scrub_closed", 0, (), {})]),
+         "_scrub_closed"),
+        (lambda t: t.deliver_batch([("map_window", 0, (), {})]),
+         "map_window"),
+        (lambda t: t.deliver_batch([5]), "BATCH"),
+        (lambda t: (t._send(wire.encode_frame(wire.REQUEST, 5)),
+                    t._await_reply(wire.REPLY)), "REQUEST"),
+    ])
+    def test_answered_with_protocol_error(self, server, send, named):
+        host = ensure_host(server)
+        bad = SocketTransport(host)
+        other = socket_display(server)
+        started = time.monotonic()
+        with pytest.raises(XProtocolError, match=named) as caught:
+            send(bad)
+        assert time.monotonic() - started < 1.0
+        assert not isinstance(caught.value, XConnectionLost)
+        assert host._thread.is_alive()
+        other.sync()
+        assert not bad.connection_closed
+        bad.request("sync")
+
+    def test_loopback_still_raises_in_process(self, server):
+        transport = LoopbackTransport(server)
+        with pytest.raises(AttributeError):
+            transport.request("no_such_request")
 
 
 class TestSocketFaults:

@@ -7,8 +7,12 @@ golden journal replayed over LoopbackTransport and SocketTransport
 produces byte-identical wire logs and byte-identical replay journals.
 """
 
+import contextlib
 import dataclasses
 import os
+import random
+import string
+from unittest import mock
 
 import pytest
 
@@ -214,6 +218,176 @@ class TestFrameSize:
 
     def test_event_sizer_unpacks_the_wire_fields(self):
         assert wire.EVENT_SIZER_FIELDS == ev.WIRE_FIELDS
+
+
+@contextlib.contextmanager
+def generic_event_codec():
+    """Switch the straight-line EVENT encoder and decoder off, so every
+    Event goes field by field through the generic codec."""
+    with mock.patch.object(wire, "_encode_event",
+                           lambda event, out: False), \
+            mock.patch.object(wire, "_decode_event",
+                              lambda data, offset: None):
+        yield
+
+
+def wire_fields(event):
+    """Every wire field of ``event`` as (type, repr)."""
+    return [(type(getattr(event, name)), repr(getattr(event, name)))
+            for name in ev.WIRE_FIELDS]
+
+
+def decode_outcome(frame):
+    """What decoding ``frame`` yields: its frame type and the wire
+    fields of every event in it, or the WireError message; plus the
+    number of event serials the decode took."""
+    before = ev.Event(ev.EXPOSE).serial
+    try:
+        ftype, value = wire.decode_frame(frame)
+    except WireError as error:
+        result = ("WireError", str(error))
+    else:
+        events = [value] if isinstance(value, ev.Event) else \
+            [item for item in value if isinstance(item, ev.Event)]
+        result = (ftype, [wire_fields(event) for event in events])
+    taken = ev.Event(ev.EXPOSE).serial - before - 1
+    return result, taken
+
+
+class TestEventCodec:
+    """The straight-line EVENT encoder and decoder against the generic
+    field-by-field codec: same bytes, same decoded fields and types, one
+    serial per decoded event, and the same WireError on bad frames."""
+
+    INT_FIELDS = [name for name in ev.WIRE_FIELDS
+                  if type(getattr(ev.Event(ev.EXPOSE), name)) is int]
+    #: values that leave the common shape in an int field
+    ODD_INTS = (True, False, 2.5, None, 1 << 63, -(1 << 63) - 1,
+                1 << 200, (1 << 63) - 1, -(1 << 63))
+
+    @staticmethod
+    def common_event(rng):
+        """A random server-shaped Event: i64 ints, ASCII strings."""
+        def text():
+            return "".join(rng.choice(string.printable)
+                           for _ in range(rng.choice((0, 1, 1, 6, 40))))
+        fields = {name: rng.choice((0, 1, rng.randrange(1 << 16),
+                                    rng.randrange(-(1 << 63), 1 << 63),
+                                    (1 << 63) - 1, -(1 << 63)))
+                  for name in TestEventCodec.INT_FIELDS}
+        return ev.Event(keysym=text(), keychar=text(),
+                        send_event=rng.random() < 0.5, **fields)
+
+    @classmethod
+    def battery(cls):
+        rng = random.Random(1991)
+        events = [cls.common_event(rng) for _ in range(30)]
+        for name in cls.INT_FIELDS:
+            for value in cls.ODD_INTS:
+                event = cls.common_event(rng)
+                setattr(event, name, value)
+                events.append(event)
+        odd = {"keysym": ("ö", "☃ key", "\x00"), "keychar": ("é", "☃"),
+               "data": ((1, "two"), (None,), [], ((),)),
+               "send_event": (True, False, 1, None)}
+        for name, values in odd.items():
+            for value in values:
+                event = cls.common_event(rng)
+                setattr(event, name, value)
+                events.append(event)
+        return events
+
+    def frames(self):
+        for event in self.battery():
+            yield wire.EVENT, event
+            yield wire.REPLY, [event, 7, event]
+
+    def test_battery_covers_both_paths(self):
+        shaped = sum(wire._encode_event(event, bytearray())
+                     for event in self.battery())
+        assert 30 <= shaped < len(self.battery())
+
+    def test_frame_bytes_identical(self):
+        for ftype, payload in self.frames():
+            fast = wire.encode_frame(ftype, payload)
+            with generic_event_codec():
+                assert wire.encode_frame(ftype, payload) == fast, payload
+            assert wire.frame_size(ftype, payload) == len(fast)
+
+    def test_decoded_fields_types_and_serials_identical(self):
+        for ftype, payload in self.frames():
+            frame = wire.encode_frame(ftype, payload)
+            fast = decode_outcome(frame)
+            with generic_event_codec():
+                assert decode_outcome(frame) == fast
+            if ftype == wire.EVENT:
+                expected = [wire_fields(payload)]
+            else:
+                expected = [wire_fields(payload[0])] * 2
+            assert fast == ((ftype, expected), len(expected))
+
+    def assert_same_outcome(self, frame):
+        fast = decode_outcome(frame)
+        with generic_event_codec():
+            assert decode_outcome(frame) == fast
+
+    def test_truncated_frames_fail_identically(self):
+        for ftype, payload in list(self.frames())[::5]:
+            frame = wire.encode_frame(ftype, payload)
+            for cut in range(5, len(frame)):
+                prefix = wire._U32.pack(cut - 4) + frame[4:cut]
+                self.assert_same_outcome(prefix)
+
+    def test_trailing_bytes_fail_identically(self):
+        for ftype, payload in list(self.frames())[::3]:
+            frame = wire.encode_frame(ftype, payload)
+            for extra in (b"\x00", b"\x02",
+                          bytes([wire.T_SPAN]) + b"\x00" * 8):
+                padded = wire._U32.pack(len(frame) - 4 + len(extra)) + \
+                    frame[4:] + extra
+                self.assert_same_outcome(padded)
+
+    def test_wrong_tags_fail_identically(self):
+        # Overwrite every byte in turn with each tag the event shape
+        # uses (and one unknown): where it hits a tag or a length, the
+        # fast decoder must step aside for the generic one.
+        for ftype, payload in list(self.frames())[::19]:
+            frame = wire.encode_frame(ftype, payload)
+            for position in range(5, len(frame)):
+                for tag in (wire.T_TRUE, wire.T_INT, wire.T_STR,
+                            wire.T_TUPLE, 0x7E):
+                    mutated = bytearray(frame)
+                    mutated[position] = tag
+                    self.assert_same_outcome(bytes(mutated))
+
+
+class TestExactTypeFastPaths:
+    """_encode_value checks exact types first; a subclass takes the
+    isinstance chain, which must encode it the same way."""
+
+    class Int(int):
+        pass
+
+    class Str(str):
+        pass
+
+    class List(list):
+        pass
+
+    class Tuple(tuple):
+        pass
+
+    class Dict(dict):
+        pass
+
+    @pytest.mark.parametrize("plain, wrapped", [
+        (5, Int(5)), (-(1 << 63), Int(-(1 << 63))), (1 << 70, Int(1 << 70)),
+        ("snÖw", Str("snÖw")), ([1, "a"], List([1, "a"])),
+        ((None, 2.5), Tuple((None, 2.5))), ({"k": (1,)}, Dict({"k": (1,)})),
+    ])
+    def test_subclass_encodes_like_exact_type(self, plain, wrapped):
+        assert wire.encode_frame(wire.REPLY, wrapped) == \
+            wire.encode_frame(wire.REPLY, plain)
 
 
 class TestFrames:
