@@ -27,6 +27,12 @@ from .options import OptionDatabase
 from .pack import Packer
 
 
+#: the event types the selection manager consumes (the send manager
+#: consumes only PropertyNotify)
+_SELECTION_EVENTS = frozenset((ev.SELECTION_REQUEST, ev.SELECTION_CLEAR,
+                               ev.SELECTION_NOTIFY))
+
+
 def parse_path(path: str) -> Tuple[str, str]:
     """Split a window path name into (parent path, leaf name)."""
     if path == ".":
@@ -324,16 +330,18 @@ class TkApp:
     def deliver_event(self, event) -> None:
         if self.destroyed:
             return
-        if self.sender.maybe_handle(event):
+        kind = event.type
+        if kind == ev.PROPERTY_NOTIFY and self.sender.maybe_handle(event):
             return
-        if self.selection.maybe_handle(event):
+        if kind in _SELECTION_EVENTS and self.selection.maybe_handle(event):
             return
         window = self._windows_by_id.get(event.window)
         if window is None or window.destroyed:
             return
-        if self._blocked_by_grab(window, event):
+        if self.grab_window is not None and \
+                self._blocked_by_grab(window, event):
             return
-        if event.type in (ev.KEY_PRESS, ev.KEY_RELEASE) and \
+        if (kind == ev.KEY_PRESS or kind == ev.KEY_RELEASE) and \
                 self.focus_window is not None and \
                 not self.focus_window.destroyed:
             # Focus management (section 3.7): all keystrokes in any

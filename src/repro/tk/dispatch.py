@@ -123,16 +123,6 @@ class EventDispatcher:
                 ran = True
         return ran
 
-    # -- X events ------------------------------------------------------------
-
-    def _process_x_event(self) -> bool:
-        display = self.app.display
-        event = display.next_event()
-        if event is None:
-            return False
-        self.app.deliver_event(event)
-        return True
-
     # -- the loop --------------------------------------------------------
 
     def do_one_event(self, block: bool = False) -> bool:
@@ -153,21 +143,34 @@ class EventDispatcher:
         """
         try:
             return self._do_one_event(block)
-        except XConnectionLost as error:
+        except (TclError, XProtocolError) as error:
+            return self._recover(error)
+
+    def _recover(self, error) -> bool:
+        """Route an error that escaped a handler (see
+        :meth:`do_one_event`); returns whether the loop goes on and
+        re-raises an error nothing handles."""
+        if isinstance(error, XConnectionLost):
             handle = getattr(self.app, "connection_lost", None)
             if handle is None:
-                raise
+                raise error
             handle(error)
             return False
-        except (TclError, XProtocolError) as error:
-            report = getattr(self.app, "report_background_error", None)
-            if report is None or not report(error):
-                raise
-            return True
+        report = getattr(self.app, "report_background_error", None)
+        if report is None or not report(error):
+            raise error
+        return True
 
     def _do_one_event(self, block: bool) -> bool:
-        if self._process_x_event():
+        event = self.app.display.next_event()
+        if event is not None:
+            self.app.deliver_event(event)
             return True
+        return self._do_one_other(block)
+
+    def _do_one_other(self, block: bool) -> bool:
+        """One timer, file, idle or flush step: what runs when no X
+        event is queued."""
         if self._run_due_timer():
             return True
         if self._poll_files():
@@ -187,13 +190,28 @@ class EventDispatcher:
         return False
 
     def update(self) -> int:
-        """Process events until none are pending; returns the count."""
+        """Process events until none are pending; returns the count.
+
+        Runs exactly what ``while do_one_event(False)`` would, in the
+        same order and with the same error routing, but takes queued X
+        events in this one loop instead of one call each.
+        """
+        display = self.app.display
+        deliver = self.app.deliver_event
         processed = 0
-        while self.do_one_event(block=False):
+        while True:
+            try:
+                event = display.next_event()
+                if event is not None:
+                    deliver(event)
+                elif not self._do_one_other(False):
+                    return processed
+            except (TclError, XProtocolError) as error:
+                if not self._recover(error):
+                    return processed
             processed += 1
             if processed > 100000:
                 raise RuntimeError("update did not converge")
-        return processed
 
     def do_events(self, limit: int) -> int:
         """Process up to ``limit`` pending events; returns the count.

@@ -119,6 +119,10 @@ class Packer(geometry.GeometryManager):
         self._slot_of: Dict[object, PackSlot] = {}
         #: child window -> parent window
         self._parent_of: Dict[object, object] = {}
+        #: layout passes started so far, and (parent, number) of the
+        #: last pass that ran to completion
+        self._passes = 0
+        self._completed: tuple = (None, 0)
 
     # ------------------------------------------------------------------
     # slot list manipulation
@@ -211,12 +215,21 @@ class Packer(geometry.GeometryManager):
         slots = self._slots.get(parent)
         if not slots:
             return
+        self._passes += 1
+        number = self._passes
         if not parent.explicit_size:
             # Geometry propagation: ask that the parent be exactly big
             # enough for its slots.  A parent with a user-pinned size
             # (frame -geometry, wm geometry) keeps it.
             need_width, need_height = self.requested_size(parent)
             geometry.request_size(parent, need_width, need_height)
+            # Resizing the parent usually re-arranged it already.  When
+            # that nested pass finished and no pass began after it,
+            # nothing has changed since, and this pass would only
+            # repeat it on the same inputs.
+            if self._completed == (parent, self._passes) and \
+                    self._passes > number:
+                return
         width, height = parent.width, parent.height
 
         extra_x, extra_y = self._expand_extras(slots, width, height)
@@ -254,6 +267,7 @@ class Packer(geometry.GeometryManager):
                 cavity_w -= band_w
             self._place(slot, band_x, band_y, band_w, band_h,
                         width, height)
+        self._completed = (parent, number)
 
     def _expand_extras(self, slots: List[PackSlot], width: int,
                        height: int) -> tuple:

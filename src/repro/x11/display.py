@@ -176,6 +176,10 @@ class Display:
         #: through this object's request methods.
         self.server: XServer = transport.server
         self.client = transport.client
+        #: the event queue itself when it lives in this process (the
+        #: loopback transport); None when events must be read off a
+        #: socket first
+        self._local_events = transport.local_events
         self._round_trips_at_connect = self.server.round_trips
         self.buffering_enabled = buffering_enabled
         #: buffered one-way requests: (name, window, args, kwargs)
@@ -215,7 +219,7 @@ class Display:
         subsequent call on this display must surface that, not quietly
         pretend the connection is alive.
         """
-        return self._closed or self.transport.connection_closed
+        return self._closed or self.client.closed
 
     def close(self) -> None:
         if self._closed:
@@ -228,7 +232,7 @@ class Display:
         self.transport.close()
 
     def _require_open(self) -> None:
-        if self.closed:
+        if self._closed or self.client.closed:
             raise XConnectionLost("connection to X server lost")
 
     # -- the output buffer ------------------------------------------------
@@ -324,6 +328,11 @@ class Display:
         return self.transport.pending()
 
     def next_event(self) -> Optional[Event]:
+        events = self._local_events
+        if events:
+            # An in-process queue: a closed connection has none left,
+            # and nothing buffered needs flushing while one is queued.
+            return events.popleft()
         self._require_open()
         self.transport.poll()
         if not self.transport.has_queued() and \

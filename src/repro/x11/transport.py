@@ -122,6 +122,10 @@ class Transport:
     """What every transport shares: the opt-in frame capture log and
     wall-clock RTT sampling."""
 
+    #: the client's event queue when it can be popped directly (no
+    #: frames to read first); see Display.next_event
+    local_events: Optional[deque] = None
+
     def __init__(self):
         #: captured frames when :meth:`capture_wire` is active
         self.wire_log: Optional[List[bytes]] = None
@@ -160,6 +164,7 @@ class LoopbackTransport(Transport):
                                      self.kind)
         self.client.transport_sink = self._sink_event
         self.client.direct_sink = self._ship_event
+        self.local_events = self.client.queue
 
     # -- connection facts ----------------------------------------------
 
@@ -174,10 +179,6 @@ class LoopbackTransport(Transport):
     @property
     def screen_height(self) -> int:
         return self.server.root.height
-
-    @property
-    def connection_closed(self) -> bool:
-        return self.client.closed
 
     def register_flush_hook(self, hook: Callable[[], object]) -> None:
         self.client.flush_output = hook
@@ -222,11 +223,19 @@ class LoopbackTransport(Transport):
     # -- event delivery (installed as the client's sinks) --------------
 
     def _sink_event(self, event) -> None:
+        # Every delivered event passes here, so the whole hop is this
+        # one call: the fault plan's gate, the byte count (or the
+        # captured frame), the queue.
         plan = self.server.fault_plan
         if plan is not None and not plan.on_event(self.server,
                                                   self.client, event):
             return
-        self._ship_event(event)
+        if self.wire_log is None:
+            self._telemetry.bytes_in.value += wire.frame_size(wire.EVENT,
+                                                              event)
+        else:
+            self._count_in(wire.EVENT, event)
+        self.client.queue.append(event)
 
     def _ship_event(self, event) -> None:
         self._count_in(wire.EVENT, event)
@@ -944,10 +953,6 @@ class SocketTransport(Transport):
     @property
     def screen_height(self) -> int:
         return self._height
-
-    @property
-    def connection_closed(self) -> bool:
-        return self._closed
 
     def register_flush_hook(self, hook: Callable[[], object]) -> None:
         self.host.register_display(self.number, hook, self)

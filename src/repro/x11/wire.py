@@ -433,6 +433,10 @@ def _value_size(value) -> int:
         return total
     if kind is Event:
         return _event_size(value)
+    if kind is Client:
+        return 9
+    if kind is GraphicsContext:
+        return 1 + _value_size(value.gid) + _value_size(value.values)
     return _value_size_slow(value)
 
 
@@ -550,6 +554,8 @@ def frame_size(ftype: int, value=None, ctx: Optional[int] = None) -> int:
     socket transport's real encoded traffic.  A trace context adds the
     9-byte ``T_SPAN`` suffix, subject to the same frame-type rule.
     """
+    if type(value) is Event and ctx is None and ftype in FRAME_NAMES:
+        return 5 + _event_size(value)   # one EVENT frame per delivery
     if ftype not in FRAME_NAMES:
         raise WireError("unknown frame type 0x%02X" % ftype)
     size = 5 + _value_size(value)

@@ -32,10 +32,11 @@ from ..obs import trace as _trace
 from .atoms import AtomTable
 from .events import (ALWAYS_DELIVERED, BUTTON_PRESS, BUTTON_RELEASE,
                      CONFIGURE_NOTIFY, DESTROY_NOTIFY, ENTER_NOTIFY, EXPOSE,
-                     Event, KEY_PRESS, KEY_RELEASE, LEAVE_NOTIFY, MAP_NOTIFY,
-                     MASK_FOR_TYPE, MOTION_NOTIFY, PROPERTY_NOTIFY,
-                     SELECTION_CLEAR, SELECTION_NOTIFY, SELECTION_REQUEST,
-                     SUBSTRUCTURE_NOTIFY_MASK, UNMAP_NOTIFY)
+                     EXPOSURE_MASK, Event, KEY_PRESS, KEY_RELEASE,
+                     LEAVE_NOTIFY, MAP_NOTIFY, MASK_FOR_TYPE, MOTION_NOTIFY,
+                     PROPERTY_NOTIFY, SELECTION_CLEAR, SELECTION_NOTIFY,
+                     SELECTION_REQUEST, SUBSTRUCTURE_NOTIFY_MASK,
+                     UNMAP_NOTIFY)
 from .resources import (BUILTIN_BITMAPS, CURSOR_NAMES, Bitmap, Color, Cursor,
                         Font, GraphicsContext, font_exists, font_metrics,
                         parse_color)
@@ -932,11 +933,20 @@ class XServer:
             self._expose_viewable(window)
 
     def _expose_viewable(self, window: Window) -> None:
+        # The event is built, taking its serial, even when nobody
+        # selected it.  The first selecting client gets it as built;
+        # only a further one needs its own copy.
+        event = Event(EXPOSE, window=window.id, width=window.width,
+                      height=window.height, time=self.clock.now)
+        selections = window.event_selections
+        if selections:
+            shipped = False
+            for client, selected in list(selections.items()):
+                if selected & EXPOSURE_MASK:
+                    client.enqueue(event.for_window(window.id)
+                                   if shipped else event)
+                    shipped = True
         # The mapped children of a viewable window are viewable.
-        self._deliver(window, Event(EXPOSE, window=window.id,
-                                    width=window.width,
-                                    height=window.height,
-                                    time=self.clock.now))
         for child in window.children:
             if child.mapped:
                 self._expose_viewable(child)

@@ -146,3 +146,108 @@ class TestMainloop:
     def test_mainloop_returns_when_nothing_pending(self, app):
         app.update()
         app.mainloop()   # nothing scheduled: must return, not hang
+
+
+class TestUpdateEquivalence:
+    """``update`` drains queued X events in its own loop; it must do
+    exactly what ``while do_one_event(False)`` does."""
+
+    SCRIPT = """
+proc bgerror {msg} {note "bgerror $msg"}
+frame .f -geometry 100x60
+frame .g -geometry 100x60
+pack append . .f {top} .g {top}
+bind .f <Enter> {
+    note enter-f
+    after 0 {note after0}
+    whenidle {note idle; pack append . .b {top}}
+}
+bind .f <ButtonPress-1> {
+    note press
+    button .b -text hi
+    bind .b <Expose> {note expose-b}
+    bind .f <Expose> {note expose-f; destroy .}
+}
+bind .f <ButtonRelease-1> {note release; error boom}
+bind .g <Enter> {note enter-g}
+bind .g <Motion> {note motion-g}
+"""
+
+    @staticmethod
+    def reference_update(app):
+        processed = 0
+        while app.dispatcher.do_one_event(False):
+            processed += 1
+            if processed > 100000:
+                raise RuntimeError("update did not converge")
+        return processed
+
+    def run(self, drain):
+        server = XServer()
+        app = TkApp(server, name="equiv")
+        log = []
+        app.interp.register("note",
+                            lambda interp, argv: log.append(argv[1]))
+        app.interp.register("whenidle", lambda interp, argv:
+                            app.dispatcher.when_idle(
+                                lambda: interp.eval(argv[1])))
+        app.interp.eval(self.SCRIPT)
+        server.warp_pointer(900, 800)
+        app.update()
+        frames = app.display.transport.capture_wire()
+        delivered, teardowns = [], []
+        deliver, destroy = app.deliver_event, app.destroy
+
+        def traced_deliver(event):
+            window = app._windows_by_id.get(event.window)
+            delivered.append((event.type, window and window.path))
+            deliver(event)
+
+        def counted_destroy():
+            if not app.destroyed:
+                teardowns.append((len(log), len(app.display.client.queue)))
+            destroy()
+
+        app.deliver_event, app.destroy = traced_deliver, counted_destroy
+        fx, fy = app.window(".f").root_position()
+        gx, gy = app.window(".g").root_position()
+        server.warp_pointer(fx + 5, fy + 5)
+        server.press_button(1)
+        server.release_button(1)
+        server.warp_pointer(gx + 5, gy + 5)
+        server.warp_pointer(gx + 9, gy + 9)
+        assert app.display.pending() >= 5
+        processed = drain(app)
+        return processed, log, delivered, teardowns, frames
+
+    def test_same_handlers_count_and_teardown(self):
+        drained = self.run(lambda app: app.update())
+        reference = self.run(self.reference_update)
+        assert drained == reference
+        processed, log, delivered, teardowns, frames = drained
+        assert processed > len(delivered) >= 5
+        # The scenario reaches every part it is meant to exercise.
+        assert log == ["enter-f", "press", "release", "bgerror boom",
+                       "enter-g", "motion-g", "motion-g", "after0",
+                       "idle", "expose-f"]
+        # One teardown, with the Expose of .b still queued behind it.
+        [(notes, queued)] = teardowns
+        assert notes == len(log) and queued > 0
+        assert frames
+
+    @pytest.mark.parametrize("drain", ["update", "reference"])
+    def test_same_convergence_guard(self, app, drain):
+        runs = []
+
+        def again():
+            runs.append(1)
+            app.dispatcher.when_idle(again)
+
+        app.update()
+        app.dispatcher.when_idle(again)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            if drain == "update":
+                app.update()
+            else:
+                self.reference_update(app)
+        assert len(runs) == 100001

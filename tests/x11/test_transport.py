@@ -124,6 +124,93 @@ class TestLoopbackAccounting:
         assert wire.REQUEST in types and wire.REPLY in types
 
 
+#: frame types a client receives; everything else it sends
+_INBOUND = frozenset((wire.BATCH_ACK, wire.ONEWAY_ACK, wire.REPLY,
+                      wire.ERROR, wire.EVENT))
+
+
+def _churn(app, count=50):
+    """Table II row 3: create, pack, show and destroy ``count``
+    buttons."""
+    for index in range(count):
+        app.interp.eval("button .b%d -text b%d" % (index, index))
+        app.interp.eval("pack append . .b%d {top}" % index)
+    app.update()
+    for index in range(count):
+        app.interp.eval("destroy .b%d" % index)
+    app.update()
+
+
+class TestLoopbackEventHop:
+    """The loopback event sink sizes each event with wire.frame_size
+    and the server hands a built Expose to its first receiver; neither
+    may change a byte count or a serial."""
+
+    @staticmethod
+    def session(capture, plan=None):
+        """Bytes in and out of one churn op after a warm-up op, and the
+        captured frames when ``capture``."""
+        from repro.tk import TkApp
+        server = XServer()
+        if plan is not None:
+            server.install_fault_plan(plan())
+        app = TkApp(server, name="churn")
+        _churn(app)
+        registry = server.obs.metrics
+        before = (registry.total("x11.wire.bytes_in"),
+                  registry.total("x11.wire.bytes_out"))
+        frames = app.display.transport.capture_wire() if capture else None
+        _churn(app)
+        if plan is not None:
+            for _ in range(4):          # let every delayed event out
+                server.time_ms += 50
+                app.display.sync()
+                app.update()
+        after = (registry.total("x11.wire.bytes_in"),
+                 registry.total("x11.wire.bytes_out"))
+        return (after[0] - before[0], after[1] - before[1]), frames, \
+            server.fault_plan
+
+    @staticmethod
+    def frame_totals(frames):
+        inbound = sum(len(frame) for frame in frames
+                      if frame[4] in _INBOUND)
+        return inbound, sum(len(frame) for frame in frames) - inbound
+
+    def test_churn_op_bytes_match_captured_frames(self):
+        counted, _, _ = self.session(capture=False)
+        captured, frames, _ = self.session(capture=True)
+        assert counted == captured == self.frame_totals(frames)
+        assert sum(frame[4] == wire.EVENT for frame in frames) > 100
+
+    def test_fault_plan_session_bytes_match_captured_frames(self):
+        def plan():
+            return FaultPlan(seed=7, drop_rate=0.2, delay_rate=0.2,
+                             delay_ms=30)
+        counted, _, used = self.session(capture=False, plan=plan)
+        captured, frames, _ = self.session(capture=True, plan=plan)
+        assert counted == captured == self.frame_totals(frames)
+        assert used.counters["drop"] > 0 and used.counters["delay"] > 0
+        assert used.held_count() == 0
+
+    def test_each_expose_receiver_gets_its_own_event(self, server):
+        first, second = LoopbackTransport(server), LoopbackTransport(server)
+        watcher = server.connect()          # a bare client, no transport
+        wid = server.create_window(first.client, server.root.id,
+                                   0, 0, 30, 20)
+        for client in (first.client, second.client, watcher):
+            server.select_input(client, wid, ev.EXPOSURE_MASK)
+        server.map_window(wid)
+        received = [client.queue[-1] for client in
+                    (first.client, second.client, watcher)]
+        assert len({id(event) for event in received}) == 3
+        assert len({event.serial for event in received}) == 1
+        assert {(event.type, event.window, event.width, event.height)
+                for event in received} == {(ev.EXPOSE, wid, 30, 20)}
+        received[0].width = 99          # no receiver shares its fields
+        assert received[1].width == received[2].width == 30
+
+
 class TestLegacyClientPath:
     def test_bare_client_enqueue_still_works(self, server):
         """Clients without a transport keep the pre-wire behaviour."""
@@ -310,7 +397,7 @@ class TestDrainFence:
         host.inject("warp_pointer", 5, 5)
         host.inject("press_button", 1)
         assert time.monotonic() - started < 1.0
-        assert not bare.connection_closed
+        assert not bare.client.closed
         bare.request("sync")
         display.sync()
 
@@ -351,7 +438,7 @@ class TestBadRequests:
         assert not isinstance(caught.value, XConnectionLost)
         assert host._thread.is_alive()
         other.sync()
-        assert not bad.connection_closed
+        assert not bad.client.closed
         bad.request("sync")
 
     def test_loopback_still_raises_in_process(self, server):

@@ -219,6 +219,58 @@ class TestFrameSize:
     def test_event_sizer_unpacks_the_wire_fields(self):
         assert wire.EVENT_SIZER_FIELDS == ev.WIRE_FIELDS
 
+    # Request payloads carry a live Client (select_input) and GCs
+    # (draw_*); both have exact-type arms ahead of the isinstance chain.
+    GC_VALUES = [{}, {"foreground": 1, "background": 0},
+                 {"font": "fixed", "line_width": 1 << 70},
+                 {"dashes": [1, (2, 3)], "name": "snöw"}]
+
+    @staticmethod
+    def _payloads(client, gc):
+        ops = [("select_input", 7, (client, 7, 1 << 15), {}),
+               ("configure_window", 9, (9,), {"x": 0, "width": 40}),
+               ("draw_string", 9, (9, gc, 3, 11, "label"), {}),
+               ("destroy_window", 9, (9,), {})]
+        return [(wire.BATCH, ops),
+                (wire.REQUEST, ("create_gc", (client,), gc.values)),
+                (wire.REQUEST, ("fill_rectangle", (9, gc, 0, 0, 5, 5),
+                                {})),
+                (wire.REPLY, client), (wire.REPLY, gc)]
+
+    @pytest.mark.parametrize("values", GC_VALUES)
+    def test_client_and_gc_arms_lockstep(self, values):
+        client = XServer().connect()
+        gc = GraphicsContext(gid=5, values=values)
+        with mock.patch.object(wire, "_value_size_slow",
+                               side_effect=AssertionError("slow path")):
+            for ftype, value in self._payloads(client, gc):
+                for ctx in (None, 12345):
+                    if ctx is not None and \
+                            ftype not in wire.TRACED_FRAMES:
+                        continue
+                    assert wire.frame_size(ftype, value, ctx) == \
+                        len(wire.encode_frame(ftype, value, ctx))
+
+    def test_gc_arm_raises_like_encode(self):
+        gc = GraphicsContext(gid=5, values={"stipple": object()})
+        with pytest.raises(WireError) as encoded:
+            wire.encode_frame(wire.BATCH, [("draw_line", 1, (1, gc), {})])
+        with pytest.raises(WireError) as sized:
+            wire.frame_size(wire.BATCH, [("draw_line", 1, (1, gc), {})])
+        assert str(sized.value) == str(encoded.value)
+
+    def test_event_frame_arm_keeps_the_frame_rules(self):
+        event = ev.Event(ev.EXPOSE, window=3, width=10, height=20)
+        for ftype in (wire.EVENT, wire.REPLY):
+            assert wire.frame_size(ftype, event) == \
+                len(wire.encode_frame(ftype, event))
+        with pytest.raises(WireError):
+            wire.frame_size(0x7F, event)
+        with pytest.raises(WireError):
+            wire.frame_size(wire.EVENT, event, 5)
+        assert wire.frame_size(wire.REQUEST, event, 5) == \
+            len(wire.encode_frame(wire.REQUEST, event, 5))
+
 
 @contextlib.contextmanager
 def generic_event_codec():
