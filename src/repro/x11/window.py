@@ -107,3 +107,72 @@ class Window:
         return "<Window %d %dx%d+%d+%d%s>" % (
             self.id, self.width, self.height, self.x, self.y,
             " mapped" if self.mapped else "")
+
+
+# -- regions ---------------------------------------------------------------
+#
+# A region is a list of disjoint half-open rectangles (x0, y0, x1, y1).
+# The server keeps visible regions in this form; Expose events carry
+# them as banded (x, y, width, height) rectangles.
+
+Rect = Tuple[int, int, int, int]
+
+
+def clip_region(region: List[Rect], x0: int, y0: int, x1: int,
+                y1: int) -> List[Rect]:
+    """The part of ``region`` inside the rectangle."""
+    return [(max(a, x0), max(b, y0), min(c, x1), min(d, y1))
+            for a, b, c, d in region
+            if a < x1 and x0 < c and b < y1 and y0 < d]
+
+
+def subtract_rect(region: List[Rect], x0: int, y0: int, x1: int,
+                  y1: int) -> List[Rect]:
+    """The part of ``region`` outside the rectangle."""
+    out = []
+    for rect in region:
+        a, b, c, d = rect
+        if a >= x1 or x0 >= c or b >= y1 or y0 >= d:
+            out.append(rect)
+            continue
+        if b < y0:
+            out.append((a, b, c, y0))
+        if y1 < d:
+            out.append((a, y1, c, d))
+        top, bottom = max(b, y0), min(d, y1)
+        if a < x0:
+            out.append((a, top, x0, bottom))
+        if x1 < c:
+            out.append((x1, top, c, bottom))
+    return out
+
+
+def bands(region: List[Rect]) -> List[Rect]:
+    """``region`` as (x, y, width, height) rectangles in y-then-x bands.
+
+    The region is cut at every rectangle's top and bottom edge; each
+    horizontal slab keeps its covered x spans, touching spans merge,
+    and a slab merges into the one above it when their spans are equal.
+    The result is the same for every decomposition of one point set.
+    """
+    if len(region) == 1:
+        a, b, c, d = region[0]
+        return [(a, b, c - a, d - b)]
+    edges = sorted({y for _, top, _, bottom in region for y in (top, bottom)})
+    slabs: List[list] = []
+    for top, bottom in zip(edges, edges[1:]):
+        spans: List[list] = []
+        for a, c in sorted((a, c) for a, b, c, d in region
+                           if b <= top and bottom <= d):
+            if spans and spans[-1][1] == a:
+                spans[-1][1] = c
+            else:
+                spans.append([a, c])
+        if not spans:
+            continue
+        if slabs and slabs[-1][1] == top and slabs[-1][2] == spans:
+            slabs[-1][1] = bottom
+        else:
+            slabs.append([top, bottom, spans])
+    return [(a, top, c - a, bottom - top)
+            for top, bottom, spans in slabs for a, c in spans]

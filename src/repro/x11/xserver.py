@@ -40,7 +40,7 @@ from .events import (ALWAYS_DELIVERED, BUTTON_PRESS, BUTTON_RELEASE,
 from .resources import (BUILTIN_BITMAPS, CURSOR_NAMES, Bitmap, Color, Cursor,
                         Font, GraphicsContext, font_exists, font_metrics,
                         parse_color)
-from .window import Window
+from .window import Rect, Window, bands, clip_region, subtract_rect
 
 
 class VirtualClock:
@@ -224,10 +224,7 @@ class XServer:
         # Destroy the client's windows, as a real server does at
         # close-down.  This is what lets surviving applications notice
         # a crashed peer: its comm window disappears.
-        for resource in list(self.resources.values()):
-            if isinstance(resource, Window) and \
-                    resource.creator is client and not resource.destroyed:
-                self._destroy_recursive(resource)
+        self._destroy_client_windows(client)
         # Free the client's server-side resources (fonts, cursors,
         # bitmaps, GCs) — close-down frees everything the connection
         # allocated.
@@ -262,10 +259,7 @@ class XServer:
         for atom, (window, owner) in list(self.selections.items()):
             if owner is client:
                 del self.selections[atom]
-        for resource in list(self.resources.values()):
-            if isinstance(resource, Window) and \
-                    resource.creator is client and not resource.destroyed:
-                self._destroy_recursive(resource)
+        self._destroy_client_windows(client)
         for rid, owner in list(self.resource_creators.items()):
             if owner is client:
                 del self.resource_creators[rid]
@@ -606,13 +600,23 @@ class XServer:
         self._tick("destroy_window")
         window = self.window(wid)
         self._check_owner(window, client, "destroy_window")
+        self._destroy(window)
+
+    def _destroy_client_windows(self, client: Client) -> None:
+        """Destroy every window ``client`` created, one at a time."""
+        for resource in list(self.resources.values()):
+            if isinstance(resource, Window) and \
+                    resource.creator is client and not resource.destroyed:
+                self._destroy(resource)
+
+    def _destroy(self, window: Window) -> None:
+        before = self._free_area(window)
         self._destroy_recursive(window)
-        self._update_pointer_window()
+        self._window_changed(window, before)
 
     def _destroy_recursive(self, window: Window) -> None:
         for child in list(window.children):
             self._destroy_recursive(child)
-        was_viewable = window.is_viewable()
         window.destroyed = True
         window.mapped = False
         if window.parent is not None:
@@ -630,35 +634,32 @@ class XServer:
         self._deliver(window, event)
         if window.parent is not None:
             self._deliver_substructure(window.parent, event)
-        if was_viewable and window.parent is not None:
-            self._expose(window.parent)
 
     def map_window(self, wid: int) -> None:
         self._tick("map_window")
         window = self.window(wid)
         if window.mapped:
             return
+        before = self._free_area(window)
         window.mapped = True
         event = Event(MAP_NOTIFY, window=wid, time=self.time_ms)
         self._deliver(window, event)
         if window.parent is not None:
             self._deliver_substructure(window.parent, event)
-        if window.is_viewable():
-            self._expose(window)
-        self._update_pointer_window()
+        self._window_changed(window, before)
 
     def unmap_window(self, wid: int) -> None:
         self._tick("unmap_window")
         window = self.window(wid)
         if not window.mapped:
             return
+        before = self._free_area(window)
         window.mapped = False
         event = Event(UNMAP_NOTIFY, window=wid, time=self.time_ms)
         self._deliver(window, event)
         if window.parent is not None:
             self._deliver_substructure(window.parent, event)
-            self._expose(window.parent)
-        self._update_pointer_window()
+        self._window_changed(window, before)
 
     def configure_window(self, wid: int, x: Optional[int] = None,
                          y: Optional[int] = None,
@@ -669,33 +670,29 @@ class XServer:
         self._tick("configure_window")
         window = self.window(wid)
         self._check_owner(window, client, "configure_window")
-        changed = False
-        if x is not None and x != window.x:
-            window.x = x
-            changed = True
-        if y is not None and y != window.y:
-            window.y = y
-            changed = True
-        if width is not None and width != window.width:
-            window.width = max(1, width)
-            changed = True
-        if height is not None and height != window.height:
-            window.height = max(1, height)
-            changed = True
-        if border_width is not None and border_width != window.border_width:
-            window.border_width = border_width
-            changed = True
-        if not changed:
+        # Clamp before comparing: asking for the size a window already
+        # has once clamped changes nothing.
+        new_x = window.x if x is None else x
+        new_y = window.y if y is None else y
+        new_width = window.width if width is None else max(1, width)
+        new_height = window.height if height is None else max(1, height)
+        new_border = window.border_width if border_width is None \
+            else border_width
+        resized = (new_width, new_height) != (window.width, window.height)
+        if not resized and (new_x, new_y, new_border) == \
+                (window.x, window.y, window.border_width):
             return
+        before = self._free_area(window)
+        window.x, window.y = new_x, new_y
+        window.width, window.height = new_width, new_height
+        window.border_width = new_border
         event = Event(CONFIGURE_NOTIFY, window=wid, x=window.x, y=window.y,
                       width=window.width, height=window.height,
                       time=self.time_ms)
         self._deliver(window, event)
         if window.parent is not None:
             self._deliver_substructure(window.parent, event)
-        if window.is_viewable():
-            self._expose(window)
-        self._update_pointer_window()
+        self._window_changed(window, before, resized)
 
     def raise_window(self, wid: int) -> None:
         """Restack a window above all its siblings."""
@@ -703,11 +700,10 @@ class XServer:
         window = self.window(wid)
         parent = window.parent
         if parent is not None and parent.children[-1] is not window:
+            before = self._free_area(window)
             parent.children.remove(window)
             parent.children.append(window)
-            if window.is_viewable():
-                self._expose(window)
-            self._update_pointer_window()
+            self._window_changed(window, before)
 
     def lower_window(self, wid: int) -> None:
         """Restack a window below all its siblings."""
@@ -715,11 +711,10 @@ class XServer:
         window = self.window(wid)
         parent = window.parent
         if parent is not None and parent.children[0] is not window:
+            before = self._free_area(window)
             parent.children.remove(window)
             parent.children.insert(0, window)
-            if parent.is_viewable():
-                self._expose(parent)
-            self._update_pointer_window()
+            self._window_changed(window, before)
 
     def select_input(self, client: Client, wid: int, mask: int) -> None:
         self._tick("select_input")
@@ -922,34 +917,188 @@ class XServer:
             target = target.parent
         return False
 
-    def _expose(self, window: Window) -> None:
-        """Expose ``window`` and every viewable window below it.
+    # -- exposure ------------------------------------------------------
+    #
+    # A window's visible region is where it is the topmost viewable
+    # window: its rectangle, clipped by its ancestors and by the mapped
+    # siblings above it and above each ancestor, less its own mapped
+    # children.  Regions are kept in the window's own coordinates, so
+    # content moves with the window.
+    #
+    # A window request changes one window W.  Call W's free area the
+    # pixels its subtree owns: W's rectangle clipped by its ancestors,
+    # less the mapped siblings above W and above each ancestor.  Only
+    # ownership inside the old and the new free area can change:
+    #   - pixels W's subtree lost go to W's parent or the parent's other
+    #     descendants, none of which owned them before;
+    #   - inside W's subtree ownership is fixed in W's coordinates, so a
+    #     window there gains exactly its part of the new free area that
+    #     was not free before, both taken in W's coordinates.
+    # Sharing those two areas out below W's parent therefore yields
+    # each window's gain without looking at the visibility before.
 
-        One Expose is built per viewable window, in pre-order, whether
-        or not anyone selected it: each takes the next event serial,
-        which bindings can read through ``%#``.
+    def _free_area(self, window: Window) -> Optional[Tuple[List[Rect], Rect]]:
+        """``window``'s free area in its own coordinates, and its
+        rectangle in root coordinates; None unless it is viewable."""
+        if not window.mapped:
+            return None
+        free = [(0, 0, window.width, window.height)]
+        # (x, y): the origin of ``parent`` in ``window``'s coordinates
+        x = y = 0
+        level, parent = window, window.parent
+        while parent is not None:
+            if not parent.mapped:
+                return None
+            x -= level.x
+            y -= level.y
+            if free:
+                # Clip by the parent unless the area lies inside it.
+                x1, y1 = x + parent.width, y + parent.height
+                a, b, c, d = free[0]
+                if len(free) > 1 or a < x or b < y or c > x1 or d > y1:
+                    free = clip_region(free, x, y, x1, y1)
+            siblings = parent.children
+            if free and siblings[-1] is not level:
+                for sibling in siblings[siblings.index(level) + 1:]:
+                    if not sibling.mapped:
+                        continue
+                    left, top = x + sibling.x, y + sibling.y
+                    right = left + sibling.width
+                    bottom = top + sibling.height
+                    # subtract_rect only when the sibling overlaps: it
+                    # is called for every sibling above every ancestor.
+                    for a, b, c, d in free:
+                        if a < right and left < c and b < bottom and top < d:
+                            free = subtract_rect(free, left, top, right,
+                                                 bottom)
+                            break
+                    if not free:
+                        break
+            level, parent = parent, parent.parent
+        return free, (-x, -y, window.width - x, window.height - y)
+
+    def _window_changed(self, window: Window,
+                        before: Optional[Tuple[List[Rect], Rect]],
+                        resized: bool = False) -> None:
+        """Expose what a request on ``window`` uncovered, given its
+        :meth:`_free_area` from before, then re-pick the pointer window.
+
+        Each window is exposed for the part of its visible region it
+        did not have before; a ``resized`` window for all of it (X's
+        default ForgetGravity).  One Expose per banded rectangle,
+        windows in pre-order.  Each is built, taking the next event
+        serial, whether or not anyone selected it; the first selecting
+        client gets it as built and only a further one needs a copy.
         """
-        if window.is_viewable():
-            self._expose_viewable(window)
+        after = self._free_area(window)
+        if after is None:
+            if before is None:
+                # Invisible throughout: the pointer's descent never
+                # enters an unviewable window either.
+                return
+            after = [], before[1]
+        elif before is None:
+            before = [], after[1]
+        old_free, old_rect = before
+        free, rect = after
+        dx, dy = rect[0] - old_rect[0], rect[1] - old_rect[1]
+        lost = gained = ()
+        if resized or dx or dy or free != old_free:
+            # Both areas in the window's own coordinates, after.
+            gained = free
+            for area in old_free:
+                gained = subtract_rect(gained, *area)
+            lost = [(a - dx, b - dy, c - dx, d - dy)
+                    for a, b, c, d in old_free] if dx or dy else old_free
+            for area in free:
+                lost = subtract_rect(lost, *area)
+            regions: Dict[Window, List[Rect]] = {}
+            if window.parent is None:
+                if gained:
+                    self._clip_walk(window, gained, regions)
+            elif lost or gained:
+                wx, wy = window.x, window.y
+                self._clip_walk(window.parent,
+                                [(a + wx, b + wy, c + wx, d + wy)
+                                 for a, b, c, d in lost + gained],
+                                regions)
+            if resized and free:
+                for child in window.children:
+                    if child.mapped:
+                        free = subtract_rect(free, child.x, child.y,
+                                             child.x + child.width,
+                                             child.y + child.height)
+                # Keeps the window's pre-order place if it gained
+                # anything; otherwise it goes last, which is its place:
+                # nothing after it in pre-order gains from a resize.
+                regions[window] = free
+            time = self.clock.now
+            for owner, region in regions.items():
+                if not region:
+                    continue
+                selections = owner.event_selections
+                for x, y, width, height in bands(region):
+                    event = Event(EXPOSE, window=owner.id, x=x, y=y,
+                                  width=width, height=height, time=time)
+                    if selections:
+                        shipped = False
+                        for client, selected in list(selections.items()):
+                            if selected & EXPOSURE_MASK:
+                                client.enqueue(event.for_window(owner.id)
+                                               if shipped else event)
+                                shipped = True
+        # The window under the pointer can only have changed where the
+        # window lost or gained pixels, or anywhere in its old or new
+        # rectangle if it moved.  The free areas end at the root's
+        # edge; the rectangles also hold off the screen.
+        x, y = self.pointer_x, self.pointer_y
+        root = self.root
+        if dx or dy or not (0 <= x < root.width and 0 <= y < root.height):
+            suspect = (old_rect, rect)
+        else:
+            x -= rect[0]
+            y -= rect[1]
+            suspect = lost + gained
+        for x0, y0, x1, y1 in suspect:
+            if x0 <= x < x1 and y0 <= y < y1:
+                self._update_pointer_window()
+                break
 
-    def _expose_viewable(self, window: Window) -> None:
-        # The event is built, taking its serial, even when nobody
-        # selected it.  The first selecting client gets it as built;
-        # only a further one needs its own copy.
-        event = Event(EXPOSE, window=window.id, width=window.width,
-                      height=window.height, time=self.clock.now)
-        selections = window.event_selections
-        if selections:
-            shipped = False
-            for client, selected in list(selections.items()):
-                if selected & EXPOSURE_MASK:
-                    client.enqueue(event.for_window(window.id)
-                                   if shipped else event)
-                    shipped = True
-        # The mapped children of a viewable window are viewable.
-        for child in window.children:
-            if child.mapped:
-                self._expose_viewable(child)
+    def _clip_walk(self, window: Window, free: List[Rect],
+                   regions: Dict[Window, List[Rect]]) -> None:
+        """Share ``free`` (in ``window``'s coordinates, inside it and not
+        covered from above) between ``window``'s mapped children,
+        topmost first, and ``window`` itself.  Record each share in its
+        owner's coordinates, in pre-order."""
+        left, top, right, bottom = free[0]
+        for a, b, c, d in free:
+            if a < left:
+                left = a
+            if b < top:
+                top = b
+            if c > right:
+                right = c
+            if d > bottom:
+                bottom = d
+        shares = []
+        for child in reversed(window.children):
+            if not child.mapped:
+                continue
+            x0, y0 = child.x, child.y
+            x1, y1 = x0 + child.width, y0 + child.height
+            if x0 >= right or x1 <= left or y0 >= bottom or y1 <= top:
+                continue
+            share = clip_region(free, x0, y0, x1, y1)
+            if share:
+                free = subtract_rect(free, x0, y0, x1, y1)
+                shares.append((child, share))
+                if not free:
+                    break
+        regions[window] = free
+        for child, share in reversed(shares):
+            x, y = child.x, child.y
+            self._clip_walk(child, [(a - x, b - y, c - x, d - y)
+                                    for a, b, c, d in share], regions)
 
     # ------------------------------------------------------------------
     # input device simulation

@@ -160,7 +160,9 @@ pack append . .f {top} .g {top}
 bind .f <Enter> {
     note enter-f
     after 0 {note after0}
-    whenidle {note idle; pack append . .b {top}}
+    whenidle {
+        note idle; .f configure -geometry 100x70; pack append . .b {top}
+    }
 }
 bind .f <ButtonPress-1> {
     note press

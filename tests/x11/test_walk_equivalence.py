@@ -1,10 +1,11 @@
 """The server's per-event and per-window walks against reference copies.
 
-``Event.for_window``, ``Window.window_at`` and ``XServer._expose`` run
-for nearly every request and event, so they are written for speed.
-Each test here keeps the plain algorithm the fast one replaced and
-checks that both give the same answer on seeded random window trees
-with overlapping siblings, unmapped subtrees and restacking.
+``Event.for_window``, ``Window.window_at``, the server's per-request
+exposure and its pointer-window update run for nearly every request
+and event, so they are written for speed.  Each test here keeps a
+plain algorithm for the same answer and checks that both agree on
+seeded random window trees with overlapping siblings, unmapped
+subtrees and restacking.
 """
 
 import dataclasses
@@ -13,25 +14,25 @@ import random
 import pytest
 
 from repro.x11 import events as ev
+from repro.x11.window import Window, bands, clip_region, subtract_rect
 from repro.x11.xserver import XServer
 
 SEEDS = range(8)
 
 
-def _random_tree(seed, size=40):
+def _random_tree(seed, size=40, server_class=XServer, width=400,
+                 height=300):
     """A server holding a seeded random tree, and a bare client that
     selects Expose on the root and about half of the other windows."""
     rng = random.Random(seed)
-    server = XServer(width=400, height=300)
+    server = server_class(width=width, height=height)
     client = server.connect()
     server.select_input(client, server.root.id, ev.EXPOSURE_MASK)
     windows = [server.root]
     for _ in range(size):
         parent = rng.choice(windows)
-        wid = server.create_window(
-            client, parent.id, rng.randrange(-20, 200),
-            rng.randrange(-20, 150), rng.randrange(1, 160),
-            rng.randrange(1, 120))
+        wid = server.create_window(client, parent.id,
+                                   *_random_geometry(rng, parent))
         if rng.random() < 0.5:
             server.select_input(client, wid, ev.EXPOSURE_MASK)
         if rng.random() < 0.75:
@@ -104,41 +105,160 @@ def test_window_at_matches_root_position_reference(seed):
             _reference_window_at(window, x, y)
 
 
-# -- XServer._expose ------------------------------------------------------
-
-def _reference_expose(server, window):
-    """The original walk: an is_viewable test at every window."""
-    if not window.is_viewable():
-        return
-    event = ev.Event(ev.EXPOSE, window=window.id, x=0, y=0,
-                     width=window.width, height=window.height,
-                     time=server.time_ms)
-    server._deliver(window, event)
-    for child in window.children:
-        _reference_expose(server, child)
+def _random_geometry(rng, parent):
+    """x, y, width and height of a new child of ``parent``: often
+    overlapping its siblings, and sometimes sticking out."""
+    width, height = parent.width, parent.height
+    return (rng.randrange(-width // 5, width),
+            rng.randrange(-height // 5, height),
+            rng.randrange(1, width * 2 // 3 + 2),
+            rng.randrange(1, height * 2 // 3 + 2))
 
 
-def _exposed(server, client, expose, window):
-    """(window, serial offset) of each delivered Expose, and how many
-    serials the walk took in all (delivered or not)."""
-    client.queue.clear()
-    start = ev.Event(ev.EXPOSE).serial
-    expose(window)
-    taken = ev.Event(ev.EXPOSE).serial - start - 1
-    delivered = [(event.window, event.serial - start)
-                 for event in client.queue]
-    client.queue.clear()
-    return delivered, taken
+def _random_request(rng, server, client):
+    """One seeded window request on a random live window; a created
+    window is mapped and selects what the root selects."""
+    windows = [window for window in server.resources.values()
+               if isinstance(window, Window)]
+    window = rng.choice(windows)
+    kind = rng.choices(
+        ["create", "map", "unmap", "destroy", "configure", "raise",
+         "lower"], weights=[2, 3, 2, 1, 6, 2, 2])[0]
+    if kind == "create" or window is server.root:
+        wid = server.create_window(client, window.id,
+                                   *_random_geometry(rng, window))
+        server.select_input(client, wid,
+                            server.root.event_selections[client])
+        server.map_window(wid)
+    elif kind == "configure":
+        changes = {}
+        x, y, width, height = _random_geometry(rng, window.parent)
+        if rng.random() < 0.3:
+            changes["x"], changes["y"] = x, y
+        elif rng.random() < 0.5:           # a nudge
+            changes["x"] = window.x + rng.randrange(-3, 4)
+            changes["y"] = window.y + rng.randrange(-3, 4)
+        if rng.random() < 0.6:
+            changes["width"], changes["height"] = width - 1, height - 1
+        server.configure_window(window.id, **changes)
+    else:
+        getattr(server, kind + "_window")(window.id)
+
+
+# -- exposure ---------------------------------------------------------------
+
+def _reference_regions(server):
+    """Every viewable window's visible region in its own coordinates,
+    recomputed from the root, in pre-order: the plain algorithm that
+    the server's per-request delta replaced."""
+    regions = {}
+
+    def walk(window, origin_x, origin_y, free):
+        shares = []
+        for child in reversed(window.children):
+            if child.mapped:
+                x0, y0 = origin_x + child.x, origin_y + child.y
+                x1, y1 = x0 + child.width, y0 + child.height
+                shares.append((child, x0, y0,
+                               clip_region(free, x0, y0, x1, y1)))
+                free = subtract_rect(free, x0, y0, x1, y1)
+        regions[window] = [(a - origin_x, b - origin_y, c - origin_x,
+                            d - origin_y) for a, b, c, d in free]
+        for child, x0, y0, share in reversed(shares):
+            walk(child, x0, y0, share)
+
+    root = server.root
+    walk(root, 0, 0, [(0, 0, root.width, root.height)])
+    return regions
+
+
+def _reference_exposes(before, after, resized):
+    exposes = []
+    for window, region in after.items():
+        if window is not resized:
+            for rect in before.get(window, ()):
+                region = subtract_rect(region, *rect)
+        exposes.extend((window.id,) + rect for rect in bands(region)
+                       if region)
+    return exposes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_expose_matches_recursive_reference(seed):
-    _, server, client, windows = _random_tree(seed)
+    """The server exposes exactly what a full recomputation of every
+    window's visible region before and after each request says each
+    window gained, rectangle for rectangle and in the same order."""
+    rng, server, client, _ = _random_tree(seed)
+    for window in server.resources.values():
+        if isinstance(window, Window):
+            server.select_input(client, window.id, ev.EXPOSURE_MASK)
     seen = 0
-    for window in windows:
-        fast = _exposed(server, client, server._expose, window)
-        slow = _exposed(server, client,
-                        lambda w: _reference_expose(server, w), window)
-        assert fast == slow
-        seen += len(fast[0])
+    for _ in range(200):
+        before = _reference_regions(server)
+        sizes = {window: (window.width, window.height) for window in before}
+        _random_request(rng, server, client)
+        after = _reference_regions(server)
+        resized = [window for window, size in sizes.items()
+                   if (window.width, window.height) != size]
+        expected = _reference_exposes(before, after,
+                                      resized[0] if resized else None)
+        delivered = [(event.window, event.x, event.y, event.width,
+                      event.height) for event in client.queue
+                     if event.type == ev.EXPOSE]
+        client.queue.clear()
+        assert delivered == expected
+        seen += len(delivered)
     assert seen                        # the trees do expose something
+
+
+# -- pointer window ---------------------------------------------------------
+
+class _AlwaysDescend(XServer):
+    """The reference: a full ``window_at`` descent after every window
+    request, whether or not the server thought it necessary."""
+
+    def _window_changed(self, window, before, resized=False):
+        XServer._window_changed(self, window, before, resized)
+        self._update_pointer_window()
+
+
+def _crossings(server_class, seed):
+    """The pointer window and the Enter/Leave events after each step of
+    a seeded mix of window requests and pointer warps, mostly into a
+    viewable window and some off the screen."""
+    rng, server, client, _ = _random_tree(seed, 14, server_class, 64, 48)
+    for window in server.resources.values():
+        if isinstance(window, Window):
+            server.select_input(client, window.id,
+                                ev.ENTER_WINDOW_MASK | ev.LEAVE_WINDOW_MASK)
+    steps = []
+    for _ in range(300):
+        if rng.random() < 0.25:
+            target = rng.choice([window for window in server.resources.values()
+                                 if isinstance(window, Window)])
+            if target.is_viewable() and rng.random() < 0.7:
+                x, y = target.root_position()
+                server.warp_pointer(x + rng.randrange(target.width),
+                                    y + rng.randrange(target.height))
+            else:
+                server.warp_pointer(rng.randrange(-8, 72),
+                                    rng.randrange(-8, 56))
+            kind = "warp"
+        else:
+            _random_request(rng, server, client)
+            kind = "request"
+        crossings = [(event.type, event.window) for event in client.queue
+                     if event.type in (ev.ENTER_NOTIFY, ev.LEAVE_NOTIFY)]
+        client.queue.clear()
+        steps.append((kind, server.pointer_window.id, crossings))
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_pointer_window_matches_always_descend_reference(seed):
+    fast = _crossings(XServer, seed)
+    assert fast == _crossings(_AlwaysDescend, seed)
+    # Requests, not only warps, move the pointer between windows.
+    assert any(kind == "request" and pointer != previous
+               for (kind, pointer, _), (_, previous, _)
+               in zip(fast[1:], fast))

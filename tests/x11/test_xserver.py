@@ -94,6 +94,41 @@ class TestEventDelivery:
         assert types.count(ev.MAP_NOTIFY) == 1
         assert ev.EXPOSE in types
 
+    def test_configure_to_the_clamped_size_changes_nothing(self, server):
+        # Sizes clamp to 1 before they are compared: asking a 1-pixel
+        # window for width 0 queues no ConfigureNotify and no Expose.
+        client = server.connect()
+        wid = server.create_window(client, server.root.id, 5, 5, 1, 1)
+        server.select_input(client, wid, ev.STRUCTURE_NOTIFY_MASK |
+                            ev.EXPOSURE_MASK)
+        server.map_window(wid)
+        assert [e.type for e in client.queue] == [ev.MAP_NOTIFY, ev.EXPOSE]
+        server.configure_window(wid, width=0)
+        server.configure_window(wid, width=-3, height=0)
+        assert len(client.queue) == 2
+        assert server.window(wid).width == 1
+
+    def test_expose_covers_only_what_became_visible(self, server):
+        client = server.connect()
+        below = server.create_window(client, server.root.id, 0, 0, 40, 30)
+        above = server.create_window(client, server.root.id, 10, 20, 50, 50)
+        server.select_input(client, below, ev.EXPOSURE_MASK)
+        server.map_window(below)
+        server.map_window(above)
+        first = [(e.x, e.y, e.width, e.height) for e in client.queue]
+        assert first == [(0, 0, 40, 30)]
+        client.queue.clear()
+        server.unmap_window(above)
+        # Only the overlap, in the window's own coordinates.
+        assert [(e.window, e.x, e.y, e.width, e.height)
+                for e in client.queue] == [(below, 10, 20, 30, 10)]
+        client.queue.clear()
+        server.configure_window(below, x=7)
+        assert list(client.queue) == []     # moved, nothing uncovered
+        server.configure_window(below, width=20)
+        assert [(e.x, e.y, e.width, e.height)
+                for e in client.queue] == [(0, 0, 20, 30)]
+
     def test_destroy_notify(self, display):
         win = display.create_window(display.root, 0, 0, 10, 10)
         display.select_input(win, ev.STRUCTURE_NOTIFY_MASK)
