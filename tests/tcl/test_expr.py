@@ -97,6 +97,52 @@ class TestRelationalAndLogical:
         assert interp.eval("expr {1 ? 5 : 1/0}") == "5"
 
 
+#: Each tier that evaluates braced expressions: the bytecode VM, the
+#: compiled tree walker, and the interpret-while-lexing ablation.
+TIERS = {
+    "vm": {},
+    "tree": {"bytecode_enabled": False},
+    "nocompile": {"compile_enabled": False},
+}
+
+
+@pytest.mark.parametrize("flags", TIERS.values(), ids=list(TIERS))
+class TestLazyOperandsAreNotSubstituted:
+    """A braced expression evaluates only the operands it needs: a
+    ``[script]`` or quoted string on the unneeded side never runs."""
+
+    @pytest.mark.parametrize("text, value, name", [
+        ("0 && [set x 5]", "0", "x"),
+        ("1 || [set y 5]", "1", "y"),
+        ("1 ? 2 : [set z 5]", "2", "z"),
+        ("0 ? [set z 5] : 3", "3", "z"),
+        ('0 && "[set q 1]"', "0", "q"),
+        ("0 && ([set x 1] || [set y 2])", "0", "x"),
+        ("1 && (0 && [set x 1])", "0", "x"),
+    ])
+    def test_unneeded_side_never_runs(self, flags, text, value, name):
+        interp = Interp(**flags)
+        assert interp.eval("expr {%s}" % text) == value
+        assert interp.eval("info exists %s" % name) == "0"
+
+    def test_needed_side_still_runs(self, flags):
+        interp = Interp(**flags)
+        assert interp.eval("expr {1 && [set x 5]}") == "1"
+        assert interp.eval("expr {0 || [set y 0]}") == "0"
+        assert interp.eval("expr {0 ? 2 : [set z 7]}") == "7"
+        assert interp.eval("list $x $y $z") == "5 0 7"
+
+    def test_lazy_side_inside_a_proc_and_a_condition(self, flags):
+        interp = Interp(**flags)
+        interp.eval("proc p {n} {\n"
+                    "  set hits 0\n"
+                    "  if {$n > 0 && [incr hits]} {incr hits 10}\n"
+                    "  while {$n < 0 || [incr hits] > 100} {break}\n"
+                    "  return $hits\n}")
+        assert interp.eval("p 0") == "1"
+        assert interp.eval("p 1") == "12"
+
+
 class TestBitwise:
     def test_and_or_xor(self, interp):
         assert interp.eval("expr 6&3") == "2"

@@ -159,6 +159,23 @@ class TestDisassemble:
         assert "CALL" in listing
         assert "noop/0" in listing
 
+    def test_nested_substitutions_list_under_their_op(self, interp):
+        listing = interp.eval(
+            "info disassemble {set y [expr {$x * 2}]\n"
+            "set z [llength [lrange $x 0 1]]}").split("\n")
+        # An in-place [expr] is shown inline and has no ops of its own.
+        assert listing[0].split() == [
+            "0", "SET_NAME", "y", "<-", "[expr", "{$x", "*", "2}]"]
+        assert listing[1].split()[:2] == ["1", "SET_NAME"]
+        # Each nested [script] lists its ops one level deeper, under a
+        # label naming it.
+        assert listing[2:] == [
+            "    [llength [lrange $x 0 1]]",
+            "    0 CALL       llength/1  {llength [lrange $x 0 1]}",
+            "      [lrange $x 0 1]",
+            "      0 CALL       lrange/3  {lrange $x 0 1}",
+        ]
+
     def test_unknown_proc_falls_back_to_script(self, interp):
         # Not a proc name: the argument is disassembled as a script.
         listing = interp.eval("info disassemble {set q 5}")
