@@ -9,7 +9,8 @@ response time" cheap on an interpreter that otherwise re-parses
 everything.
 
 ``Interp(compile_enabled=False)`` ablates the whole pipeline — every
-eval re-parses, re-substitutes, and re-lexes expressions — mirroring
+eval re-parses and re-substitutes the script, and every expression is
+re-parsed into the same AST the cache would have returned — mirroring
 ``ResourceCache(enabled=False)`` on the Tk side.
 """
 

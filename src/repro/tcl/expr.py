@@ -16,9 +16,9 @@ re-evaluated on each use; ``$``/``[]`` substitution stays a
 per-evaluation step so the cached AST is pure structure.  The hot
 paths — ``while {$i<$n} {...}``, ``if`` conditions, widget geometry
 arithmetic — therefore skip lexing entirely after the first
-evaluation.  ``Interp(compile_enabled=False)`` bypasses the cache and
-uses the original interpret-while-lexing evaluator, for the ablation
-benchmarks.
+evaluation.  There is one parser and one set of node semantics:
+``Interp(compile_enabled=False)`` only bypasses the cache, re-parsing
+the text on every evaluation, for the ablation benchmarks.
 
 Values are Python ints, floats, or strings internally; relational
 operators fall back to string comparison when an operand is not numeric
@@ -84,353 +84,6 @@ def format_value(value: Value) -> str:
     if isinstance(value, (bool, int, float)):
         return format_number(value)
     return value
-
-
-class _ExprLexer(_Scanner):
-    """Tokenizer for expressions; substitutions call back into the interp."""
-
-    def __init__(self, text: str, interp):
-        super().__init__(text)
-        self.interp = interp
-        #: False while scanning an operand a lazy operator does not
-        #: need: its ``[script]`` and quoted-string substitutions are
-        #: skipped (the parser sets this around the operand).
-        self.evaluate = True
-
-    def next_token(self) -> Optional[Tuple[str, Value]]:
-        """Return (kind, payload); kind is 'op' or 'value'."""
-        while not self.eof() and self.peek() in " \t\n\r":
-            self.pos += 1
-        if self.eof():
-            return None
-        ch = self.peek()
-        if ch.isdigit() or (ch == "." and self._digit_follows()):
-            return ("value", self._scan_number())
-        if ch == "$":
-            var = self.scan_variable()
-            if var is None:
-                raise TclParseError("syntax error in expression: lone $")
-            return ("value", self.interp.value_of(var))
-        if ch == "[":
-            script = self.scan_bracketed()
-            return ("value", self.interp.eval(script) if self.evaluate
-                    else "")
-        if ch == '"':
-            return ("value", self._scan_quoted_string())
-        if ch == "{":
-            return ("value", self._scan_braced_string())
-        if ch == "=" and self.text[self.pos:self.pos + 2] != "==":
-            raise TclParseError("syntax error in expression: single =")
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return ("op", op)
-        # A bare word: in classic Tcl this is a syntax error unless it is
-        # a recognized function; we support a few math functions.
-        if ch.isalpha():
-            start = self.pos
-            while not self.eof() and (self.peek().isalnum() or
-                                      self.peek() == "_"):
-                self.pos += 1
-            return ("func", self.text[start:self.pos])
-        raise TclParseError(
-            "syntax error in expression near \"%s\"" % self.text[self.pos:])
-
-    def _digit_follows(self) -> bool:
-        return self.pos + 1 < self.end and self.text[self.pos + 1].isdigit()
-
-    def _scan_number(self) -> Number:
-        start = self.pos
-        text = self.text
-        if text.startswith("0x", self.pos) or text.startswith("0X", self.pos):
-            self.pos += 2
-            while not self.eof() and self.peek() in "0123456789abcdefABCDEF":
-                self.pos += 1
-            return int(text[start:self.pos], 16)
-        is_float = False
-        while not self.eof() and self.peek().isdigit():
-            self.pos += 1
-        if self.peek() == ".":
-            is_float = True
-            self.pos += 1
-            while not self.eof() and self.peek().isdigit():
-                self.pos += 1
-        if not self.eof() and self.peek() in "eE":
-            mark = self.pos
-            self.pos += 1
-            if not self.eof() and self.peek() in "+-":
-                self.pos += 1
-            if self.peek().isdigit():
-                is_float = True
-                while not self.eof() and self.peek().isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        literal = text[start:self.pos]
-        if is_float:
-            return float(literal)
-        if len(literal) > 1 and literal[0] == "0":
-            try:
-                return int(literal, 8)
-            except ValueError:
-                raise TclParseError(
-                    'invalid octal number "%s" in expression' % literal)
-        return int(literal)
-
-    def _scan_quoted_string(self) -> str:
-        self.pos += 1
-        out: List[str] = []
-        evaluate = self.evaluate
-        while not self.eof():
-            ch = self.peek()
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                out.append(self.scan_backslash())
-            elif ch == "$":
-                var = self.scan_variable()
-                if var is None:
-                    out.append(self.advance())
-                elif evaluate:
-                    out.append(self.interp.value_of(var))
-            elif ch == "[":
-                script = self.scan_bracketed()
-                if evaluate:
-                    out.append(self.interp.eval(script))
-            else:
-                out.append(self.advance())
-        raise TclParseError("missing close-quote in expression")
-
-    def _scan_braced_string(self) -> str:
-        depth = 0
-        self.pos += 1
-        start = self.pos
-        depth = 1
-        while not self.eof():
-            ch = self.advance()
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    return self.text[start:self.pos - 1]
-        raise TclParseError("missing close-brace in expression")
-
-
-class _ExprParser:
-    """Recursive-descent evaluator with lazy &&, ||, and ?:.
-
-    Laziness is implemented by threading an ``evaluate`` flag: the
-    unevaluated side is still parsed and tokenized (so syntax errors are
-    always reported), but no operators are applied there, so coercion
-    errors such as divide-by-zero are suppressed.  Substitution happens
-    during lexing; the lexer skips ``[]`` and quoted strings while it
-    scans an operand the flag marks unneeded (see :meth:`_operand`).
-    """
-
-    def __init__(self, text: str, interp):
-        self.lexer = _ExprLexer(text, interp)
-        self.token: Optional[Tuple[str, Value]] = None
-        self._advance()
-
-    def _advance(self) -> None:
-        self.token = self.lexer.next_token()
-
-    def _expect_op(self, op: str) -> None:
-        if self.token != ("op", op):
-            raise TclParseError(
-                'expected "%s" in expression' % op)
-        self._advance()
-
-    def parse(self) -> Value:
-        value = self.ternary(True)
-        if self.token is not None:
-            raise TclParseError(
-                "syntax error in expression: unexpected trailing tokens")
-        return value
-
-    def _operand(self, parse, evaluate: bool) -> Value:
-        """Step past a lazy operator and parse the operand after it,
-        with the lexer substituting only if ``evaluate``.  The operand's
-        first token is scanned by this very advance, so the flag must
-        be set before it."""
-        lexer = self.lexer
-        outer = lexer.evaluate
-        lexer.evaluate = evaluate
-        self._advance()
-        value = parse(evaluate)
-        lexer.evaluate = outer
-        return value
-
-    def ternary(self, evaluate: bool) -> Value:
-        condition = self.lor(evaluate)
-        if self.token == ("op", "?"):
-            take_first = evaluate and truth(condition)
-            first = self._operand(self.ternary, evaluate and take_first)
-            if self.token != ("op", ":"):
-                raise TclParseError('expected ":" in expression')
-            second = self._operand(self.ternary,
-                                   evaluate and not take_first)
-            if not evaluate:
-                return 0
-            return first if take_first else second
-        return condition
-
-    def lor(self, evaluate: bool) -> Value:
-        value = self.land(evaluate)
-        while self.token == ("op", "||"):
-            left_true = evaluate and truth(value)
-            right = self._operand(self.land, evaluate and not left_true)
-            if evaluate:
-                value = 1 if (left_true or truth(right)) else 0
-        return value
-
-    def land(self, evaluate: bool) -> Value:
-        value = self.bitor(evaluate)
-        while self.token == ("op", "&&"):
-            left_true = evaluate and truth(value)
-            right = self._operand(self.bitor, evaluate and left_true)
-            if evaluate:
-                value = 1 if (left_true and truth(right)) else 0
-        return value
-
-    def bitor(self, evaluate: bool) -> Value:
-        value = self.bitxor(evaluate)
-        while self.token == ("op", "|"):
-            self._advance()
-            right = self.bitxor(evaluate)
-            if evaluate:
-                value = require_int(value) | require_int(right)
-        return value
-
-    def bitxor(self, evaluate: bool) -> Value:
-        value = self.bitand(evaluate)
-        while self.token == ("op", "^"):
-            self._advance()
-            right = self.bitand(evaluate)
-            if evaluate:
-                value = require_int(value) ^ require_int(right)
-        return value
-
-    def bitand(self, evaluate: bool) -> Value:
-        value = self.equality(evaluate)
-        while self.token == ("op", "&"):
-            self._advance()
-            right = self.equality(evaluate)
-            if evaluate:
-                value = require_int(value) & require_int(right)
-        return value
-
-    def equality(self, evaluate: bool) -> Value:
-        value = self.relational(evaluate)
-        while self.token in (("op", "=="), ("op", "!=")):
-            op = self.token[1]
-            self._advance()
-            right = self.relational(evaluate)
-            if evaluate:
-                equal = _compare(value, right) == 0
-                value = int(equal if op == "==" else not equal)
-        return value
-
-    def relational(self, evaluate: bool) -> Value:
-        value = self.shift(evaluate)
-        while self.token in (("op", "<"), ("op", ">"),
-                             ("op", "<="), ("op", ">=")):
-            op = self.token[1]
-            self._advance()
-            right = self.shift(evaluate)
-            if evaluate:
-                cmp = _compare(value, right)
-                value = int({"<": cmp < 0, ">": cmp > 0,
-                             "<=": cmp <= 0, ">=": cmp >= 0}[op])
-        return value
-
-    def shift(self, evaluate: bool) -> Value:
-        value = self.additive(evaluate)
-        while self.token in (("op", "<<"), ("op", ">>")):
-            op = self.token[1]
-            self._advance()
-            right = self.additive(evaluate)
-            if evaluate:
-                left_int, right_int = require_int(value), require_int(right)
-                value = (left_int << right_int if op == "<<"
-                         else left_int >> right_int)
-        return value
-
-    def additive(self, evaluate: bool) -> Value:
-        value = self.multiplicative(evaluate)
-        while self.token in (("op", "+"), ("op", "-")):
-            op = self.token[1]
-            self._advance()
-            right = self.multiplicative(evaluate)
-            if evaluate:
-                left_num, right_num = require_number(value), \
-                    require_number(right)
-                value = (left_num + right_num if op == "+"
-                         else left_num - right_num)
-        return value
-
-    def multiplicative(self, evaluate: bool) -> Value:
-        value = self.unary(evaluate)
-        while self.token in (("op", "*"), ("op", "/"), ("op", "%")):
-            op = self.token[1]
-            self._advance()
-            right = self.unary(evaluate)
-            if evaluate:
-                value = _multiplicative(op, value, right)
-        return value
-
-    def unary(self, evaluate: bool) -> Value:
-        if self.token is None:
-            raise TclParseError("premature end of expression")
-        kind, payload = self.token
-        if kind == "op" and payload in ("-", "+", "!", "~"):
-            self._advance()
-            operand = self.unary(evaluate)
-            if not evaluate:
-                return 0
-            if payload == "-":
-                return -require_number(operand)
-            if payload == "+":
-                return +require_number(operand)
-            if payload == "!":
-                return int(not truth(operand))
-            return ~require_int(operand)
-        return self.primary(evaluate)
-
-    def primary(self, evaluate: bool) -> Value:
-        if self.token is None:
-            raise TclParseError("premature end of expression")
-        kind, payload = self.token
-        if kind == "value":
-            self._advance()
-            return payload
-        if kind == "op" and payload == "(":
-            self._advance()
-            value = self.ternary(evaluate)
-            self._expect_op(")")
-            return value
-        if kind == "func":
-            return self._function(payload, evaluate)
-        raise TclParseError(
-            'syntax error in expression near "%s"' % str(payload))
-
-    def _function(self, name: str, evaluate: bool) -> Value:
-        self._advance()
-        if self.token != ("op", "("):
-            raise TclError(
-                'can\'t use non-numeric string "%s" as operand of '
-                'expression' % name)
-        self._advance()
-        arguments = [self.ternary(evaluate)]
-        while self.token == ("op", ","):
-            self._advance()
-            arguments.append(self.ternary(evaluate))
-        self._expect_op(")")
-        if not evaluate:
-            return 0
-        return _call_math_function(name, arguments)
 
 
 #: Math functions of one float argument, dispatched through ``math``.
@@ -517,13 +170,12 @@ def _multiplicative(op: str, left: Value, right: Value) -> Number:
 # ----------------------------------------------------------------------
 # Compiled expressions: parse once into an AST, evaluate many times.
 #
-# The AST reproduces the reference evaluator exactly:
+# Evaluation rules:
 #
 # * ``$var`` nodes resolve on *every* evaluation, in lexical order,
-#   regardless of which side of a lazy operator they sit on — just as
-#   the reference lexer pulls every token;
+#   regardless of which side of a lazy operator they sit on;
 # * ``[cmd]`` and quoted-string nodes resolve only where the operand
-#   is needed, as the reference lexer skips them on an unneeded side;
+#   is needed;
 # * operator nodes thread an ``evaluate`` flag and apply nothing on an
 #   unevaluated side, so ``expr {0 && 1/0}`` is 0, not an error.
 # ----------------------------------------------------------------------
@@ -629,6 +281,8 @@ class _UnaryNode(_Node):
 
 def _apply_shift(op: str, left: Value, right: Value) -> int:
     left_int, right_int = require_int(left), require_int(right)
+    if right_int < 0:
+        raise TclError("negative shift argument")
     return left_int << right_int if op == "<<" else left_int >> right_int
 
 
@@ -762,13 +416,11 @@ class _FuncNode(_Node):
         return _call_math_function(self.name, values)
 
 
-class _ExprCompiler(_ExprLexer):
-    """Tokenizer that defers substitutions into AST nodes."""
-
-    def __init__(self, text: str):
-        super().__init__(text, None)
+class _ExprCompiler(_Scanner):
+    """Tokenizer for expressions; substitutions become AST nodes."""
 
     def next_token(self) -> Optional[Tuple[str, object]]:
+        """Return (kind, payload); kind is 'op', 'value' or 'func'."""
         while not self.eof() and self.peek() in " \t\n\r":
             self.pos += 1
         if self.eof():
@@ -793,6 +445,8 @@ class _ExprCompiler(_ExprLexer):
             if self.text.startswith(op, self.pos):
                 self.pos += len(op)
                 return ("op", op)
+        # A bare word: in classic Tcl this is a syntax error unless it is
+        # a recognized function; we support a few math functions.
         if ch.isalpha():
             start = self.pos
             while not self.eof() and (self.peek().isalnum() or
@@ -801,6 +455,61 @@ class _ExprCompiler(_ExprLexer):
             return ("func", self.text[start:self.pos])
         raise TclParseError(
             "syntax error in expression near \"%s\"" % self.text[self.pos:])
+
+    def _digit_follows(self) -> bool:
+        return self.pos + 1 < self.end and self.text[self.pos + 1].isdigit()
+
+    def _scan_number(self) -> Number:
+        start = self.pos
+        text = self.text
+        if text.startswith("0x", self.pos) or text.startswith("0X", self.pos):
+            self.pos += 2
+            while not self.eof() and self.peek() in "0123456789abcdefABCDEF":
+                self.pos += 1
+            return int(text[start:self.pos], 16)
+        is_float = False
+        while not self.eof() and self.peek().isdigit():
+            self.pos += 1
+        if self.peek() == ".":
+            is_float = True
+            self.pos += 1
+            while not self.eof() and self.peek().isdigit():
+                self.pos += 1
+        if not self.eof() and self.peek() in "eE":
+            mark = self.pos
+            self.pos += 1
+            if not self.eof() and self.peek() in "+-":
+                self.pos += 1
+            if self.peek().isdigit():
+                is_float = True
+                while not self.eof() and self.peek().isdigit():
+                    self.pos += 1
+            else:
+                self.pos = mark
+        literal = text[start:self.pos]
+        if is_float:
+            return float(literal)
+        if len(literal) > 1 and literal[0] == "0":
+            try:
+                return int(literal, 8)
+            except ValueError:
+                raise TclParseError(
+                    'invalid octal number "%s" in expression' % literal)
+        return int(literal)
+
+    def _scan_braced_string(self) -> str:
+        self.pos += 1
+        start = self.pos
+        depth = 1
+        while not self.eof():
+            ch = self.advance()
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    return self.text[start:self.pos - 1]
+        raise TclParseError("missing close-brace in expression")
 
     def _scan_quoted_fragments(self):
         """Scan ``"..."`` collecting fragments instead of resolving them."""
@@ -840,13 +549,19 @@ class _ExprCompiler(_ExprLexer):
         raise TclParseError("missing close-quote in expression")
 
 
-class _AstBuilder:
-    """Recursive-descent parser producing the compiled AST.
+#: Binary operators by precedence level, loosest first (C's order).
+#: Each level groups left to right; ``?:`` sits below the first level
+#: and groups right to left; unary operators bind tighter than the last.
+_BINARY_LEVELS = (
+    ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", ">", "<=", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
+)
+_LEVEL_OF = {op: level for level, ops in enumerate(_BINARY_LEVELS, 1)
+             for op in ops}
 
-    Mirrors :class:`_ExprParser` level for level, so precedence and
-    associativity are identical between the compiled and interpreted
-    evaluators.
-    """
+
+class _AstBuilder:
+    """Precedence-climbing parser producing the AST."""
 
     def __init__(self, text: str):
         self.lexer = _ExprCompiler(text)
@@ -869,7 +584,7 @@ class _AstBuilder:
         return node
 
     def ternary(self):
-        condition = self.lor()
+        condition = self.binary(1)
         if self.token == ("op", "?"):
             self._advance()
             first = self.ternary()
@@ -878,47 +593,26 @@ class _AstBuilder:
             return _TernaryNode(condition, first, second)
         return condition
 
-    def _chain(self, operand, operators, node_for):
-        node = operand()
-        while self.token is not None and self.token[0] == "op" and \
-                self.token[1] in operators:
-            op = self.token[1]
+    def binary(self, min_level: int):
+        """Parse operands joined by binary operators of ``min_level``
+        or tighter."""
+        node = self.unary()
+        token = self.token
+        while token is not None and token[0] == "op":
+            op = token[1]
+            level = _LEVEL_OF.get(op, 0)
+            if level < min_level:
+                break
             self._advance()
-            node = node_for(op, node, operand())
+            right = self.binary(level + 1)
+            if op == "||":
+                node = _OrNode(node, right)
+            elif op == "&&":
+                node = _AndNode(node, right)
+            else:
+                node = _BinaryNode(op, node, right)
+            token = self.token
         return node
-
-    def lor(self):
-        return self._chain(self.land, ("||",),
-                           lambda op, l, r: _OrNode(l, r))
-
-    def land(self):
-        return self._chain(self.bitor, ("&&",),
-                           lambda op, l, r: _AndNode(l, r))
-
-    def bitor(self):
-        return self._chain(self.bitxor, ("|",), _BinaryNode)
-
-    def bitxor(self):
-        return self._chain(self.bitand, ("^",), _BinaryNode)
-
-    def bitand(self):
-        return self._chain(self.equality, ("&",), _BinaryNode)
-
-    def equality(self):
-        return self._chain(self.relational, ("==", "!="), _BinaryNode)
-
-    def relational(self):
-        return self._chain(self.shift, ("<", ">", "<=", ">="),
-                           _BinaryNode)
-
-    def shift(self):
-        return self._chain(self.additive, ("<<", ">>"), _BinaryNode)
-
-    def additive(self):
-        return self._chain(self.multiplicative, ("+", "-"), _BinaryNode)
-
-    def multiplicative(self):
-        return self._chain(self.unary, ("*", "/", "%"), _BinaryNode)
 
     def unary(self):
         if self.token is None:
@@ -985,7 +679,7 @@ def eval_expr(interp, text: str) -> Value:
     """Evaluate an expression; returns an int, float, or string."""
     if getattr(interp, "compile_enabled", True):
         return compile_expr(text).eval(interp, True)
-    return _ExprParser(text, interp).parse()
+    return _AstBuilder(text).parse().eval(interp, True)
 
 
 def expr_as_string(interp, text: str) -> str:

@@ -11,10 +11,8 @@ capture and wall-clock RTT sampling from :class:`Transport`:
     byte-identical — but each request, reply, event, and error is
     *also* accounted at its exact :mod:`repro.x11.wire` frame size
     (``wire.frame_size``; frames are materialised only under
-    ``capture_wire`` or ``verify``), so bytes-in/out per client and
-    round-trip latency are first-class metrics even in-process.  With
-    ``verify=True`` the decoded frames are delivered instead of the
-    originals, proving the codec is lossless.
+    ``capture_wire``), so bytes-in/out per client and round-trip
+    latency are first-class metrics even in-process.
 
 :class:`SocketTransport`
     The real thing: a :class:`ServerHost` runs the XServer on its own
@@ -155,11 +153,10 @@ class LoopbackTransport(Transport):
 
     kind = "loopback"
 
-    def __init__(self, server: XServer, client=None, verify: bool = False):
+    def __init__(self, server: XServer, client=None):
         super().__init__()
         self.server = server
         self.client = client if client is not None else server.connect()
-        self.verify = verify
         self._telemetry = _Telemetry(server, self.client.number,
                                      self.kind)
         self.client.transport_sink = self._sink_event
@@ -186,22 +183,20 @@ class LoopbackTransport(Transport):
     # -- frame accounting ----------------------------------------------
     #
     # Counting goes through wire.frame_size on the hot path; frames are
-    # only materialised when a capture log or verify mode needs the
-    # actual bytes.  frame_size raises the same WireError encode_frame
-    # would, so unencodable values fail identically either way.
+    # only materialised when a capture log needs the actual bytes.
+    # frame_size raises the same WireError encode_frame would, so
+    # unencodable values fail identically either way.
 
     def _count_out(self, ftype: int, value=None,
-                   ctx: Optional[int] = None) -> Optional[bytes]:
-        if self.wire_log is None and not self.verify:
+                   ctx: Optional[int] = None) -> None:
+        if self.wire_log is None:
             self._telemetry.bytes_out.value += wire.frame_size(ftype,
                                                                value,
                                                                ctx)
-            return None
+            return
         frame = wire.encode_frame(ftype, value, ctx)
         self._telemetry.bytes_out.value += len(frame)
-        if self.wire_log is not None:
-            self.wire_log.append(frame)
-        return frame
+        self.wire_log.append(frame)
 
     def _count_in(self, ftype: int, value=None) -> None:
         if self.wire_log is None:
@@ -211,14 +206,6 @@ class LoopbackTransport(Transport):
         frame = wire.encode_frame(ftype, value)
         self._telemetry.bytes_in.value += len(frame)
         self.wire_log.append(frame)
-
-    def _resolve(self, number: int):
-        if number == self.client.number:
-            return self.client
-        for client in self.server.clients:
-            if client.number == number:
-                return client
-        return wire.ClientRef(number)
 
     # -- event delivery (installed as the client's sinks) --------------
 
@@ -250,10 +237,7 @@ class LoopbackTransport(Transport):
         server = self.server
         prev_ctx = server._trace_ctx
         try:
-            frame = self._count_out(wire.BATCH, ops, ctx)
-            if self.verify:
-                ops = [tuple(op) for op in
-                       wire.decode_frame(frame, self._resolve)[1]]
+            self._count_out(wire.BATCH, ops, ctx)
             server._trace_ctx = ctx
             try:
                 delivered = server.deliver_batch(self.client, ops)
@@ -273,11 +257,7 @@ class LoopbackTransport(Transport):
         server = self.server
         prev_ctx = server._trace_ctx
         try:
-            frame = self._count_out(wire.REQUEST, (name, args, kwargs),
-                                    ctx)
-            if self.verify:
-                name, args, kwargs = \
-                    wire.decode_frame(frame, self._resolve)[1]
+            self._count_out(wire.REQUEST, (name, args, kwargs), ctx)
             server._jclient = self.client.number
             started = server.time_ms
             wall = self._wall_clock() \
@@ -305,11 +285,8 @@ class LoopbackTransport(Transport):
         server = self.server
         prev_ctx = server._trace_ctx
         try:
-            frame = self._count_out(wire.ONEWAY,
-                                    (name, window, args, kwargs), ctx)
-            if self.verify:
-                name, window, args, kwargs = \
-                    wire.decode_frame(frame, self._resolve)[1]
+            self._count_out(wire.ONEWAY, (name, window, args, kwargs),
+                            ctx)
             server._trace_ctx = ctx
             try:
                 getattr(server, name)(*args, **kwargs)

@@ -1,9 +1,13 @@
 """Tests for the expression evaluator used by expr/if/while/for."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.tcl import Interp, TclError
+from repro.tcl.expr import compile_expr
 
 
 @pytest.fixture
@@ -98,7 +102,8 @@ class TestRelationalAndLogical:
 
 
 #: Each tier that evaluates braced expressions: the bytecode VM, the
-#: compiled tree walker, and the interpret-while-lexing ablation.
+#: compiled tree walker, and the compile_off ablation, which parses
+#: the same AST afresh on every evaluation instead of caching it.
 TIERS = {
     "vm": {},
     "tree": {"bytecode_enabled": False},
@@ -141,6 +146,175 @@ class TestLazyOperandsAreNotSubstituted:
                     "  return $hits\n}")
         assert interp.eval("p 0") == "1"
         assert interp.eval("p 1") == "12"
+
+
+#: Token alphabet of the three-tier generator: operands with side
+#: effects (``[incr n]``, quoted ``"[incr n]"``, ``[set x 1]``), an
+#: unset variable, an invalid octal, every operator, function heads and
+#: stray closers.
+_TOKENS = ["1", "2", "0", "08", "1.5", "$a", "$nosuch", "[incr n]",
+           '"[incr n]"', "[set x 1]", "{br}", "abs(", "pow(", "(", ")",
+           ":", ",", "?", "==", "!=", "<", ">", "<=", ">=", "<<", ">>",
+           "+", "-", "*", "/", "%", "!", "~", "&", "^", "|", "&&", "||"]
+_OPERANDS = ["1", "0", "2", "08", "1.5", "$a", "$nosuch", "[incr n]",
+             '"[incr n]"', "[set x 1]", "{br}"]
+_BINARY = ["||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=",
+           "<<", ">>", "+", "-", "*", "/", "%"]
+#: Malformed tails appended to a well-formed expression.
+_TAILS = ["", "", "", " +", " )", " ?", " :", " ,", " (", " 1", " abs("]
+#: Where the expression is evaluated: ``expr`` at top level, in a proc
+#: body, an ``if`` condition, and an ``if`` condition in a proc.
+_WRAPPERS = [
+    "catch {expr {%s}} m",
+    "proc p {} {global n a; expr {%s}}; catch p m",
+    "catch {if {%s} {set m yes} else {set m no}} m",
+    "proc p {} {global n a; if {%s} {return yes}; return no}; catch p m",
+]
+
+
+def _random_expression(rng, depth=0):
+    roll = rng.random()
+    if depth > 2 or roll < 0.25:
+        return rng.choice(_OPERANDS)
+    if roll < 0.35:
+        return rng.choice("-+!~") + _random_expression(rng, depth + 1)
+    if roll < 0.42:
+        return "(%s)" % _random_expression(rng, depth + 1)
+    if roll < 0.5:
+        return "%s ? %s : %s" % tuple(
+            _random_expression(rng, depth + 1) for _ in range(3))
+    if roll < 0.55:
+        return "abs(%s)" % _random_expression(rng, depth + 1)
+    if roll < 0.6:
+        return "pow(%s, %s)" % (_random_expression(rng, depth + 1),
+                                _random_expression(rng, depth + 1))
+    return "%s %s %s" % (_random_expression(rng, depth + 1),
+                         rng.choice(_BINARY),
+                         _random_expression(rng, depth + 1))
+
+
+def _generated_scripts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            text = " ".join(rng.choice(_TOKENS)
+                            for _ in range(rng.randint(1, 7)))
+        else:
+            text = _random_expression(rng) + rng.choice(_TAILS)
+        yield rng.choice(_WRAPPERS) % text
+
+
+def _outcome(flags, script):
+    """catch code, message, how often ``[incr n]`` ran, and whether
+    ``[set x 1]`` ran, for ``script`` on a fresh interpreter."""
+    interp = Interp(**flags)
+    interp.eval("set n 0; set a 3")
+    code = interp.eval(script)
+    return (code, interp.eval("set m"), interp.eval("set n"),
+            interp.eval("info exists x"))
+
+
+class TestTiersAgree:
+    """The VM, the tree walker and the compile_off ablation give the
+    same result, error message and side effects for every expression."""
+
+    def test_generated_expressions(self):
+        divergent = []
+        for script in _generated_scripts(seed=0, count=2400):
+            outcomes = {name: _outcome(flags, script)
+                        for name, flags in TIERS.items()}
+            if len(set(outcomes.values())) != 1:
+                divergent.append((script, outcomes))
+        assert divergent == []
+
+    @pytest.mark.parametrize("flags", TIERS.values(), ids=list(TIERS))
+    def test_syntax_error_runs_no_substitution(self, flags):
+        interp = Interp(**flags)
+        assert interp.eval("catch {expr {[set x 1] +}}") == "1"
+        assert interp.eval("info exists x") == "0"
+
+    @pytest.mark.parametrize("flags", TIERS.values(), ids=list(TIERS))
+    def test_syntax_error_is_reported_before_variables_are_read(
+            self, flags):
+        interp = Interp(**flags)
+        assert interp.eval("catch {expr {$nosuch + [set x 1] +}} m") == "1"
+        assert interp.eval("set m") == "premature end of expression"
+
+    @pytest.mark.parametrize("flags", TIERS.values(), ids=list(TIERS))
+    def test_negative_shift_is_a_tcl_error(self, flags):
+        interp = Interp(**flags)
+        assert interp.eval("catch {expr {1 << -1}} m") == "1"
+        assert interp.eval("set m") == "negative shift argument"
+
+
+#: Binary operators by C precedence level, loosest first.
+_C_LEVELS = [("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+             ("<", ">", "<=", ">="), ("<<", ">>"), ("+", "-"),
+             ("*", "/", "%")]
+_C_LEVEL = {op: level for level, ops in enumerate(_C_LEVELS)
+            for op in ops}
+
+
+def _shape(text):
+    """The AST of ``text`` as nested tuples: node type, operator,
+    constant or variable, operand shapes.  Parentheses leave no node, so
+    two texts group alike exactly when their shapes are equal."""
+    def walk(node):
+        label = next((getattr(node, slot) for slot in ("op", "value", "var")
+                      if hasattr(node, slot)), None)
+        return (type(node).__name__, label,
+                tuple(walk(child) for child in node.children()))
+    return walk(compile_expr(text))
+
+
+def _same_on_every_tier(left, right):
+    for flags in TIERS.values():
+        interp = Interp(**flags)
+        interp.eval("set a 7; set b 3; set c 2")
+        results = [interp.eval("list [catch {expr {%s}} m] $m" % text)
+                   for text in (left, right)]
+        assert results[0] == results[1], (flags, left, right)
+
+
+class TestGrouping:
+    """Precedence and associativity follow C, whatever parser builds
+    the AST."""
+
+    @pytest.mark.parametrize("first, second", list(
+        itertools.product(_C_LEVEL, repeat=2)))
+    def test_binary_pair_groups_by_c_precedence(self, first, second):
+        text = "$a %s $b %s $c" % (first, second)
+        if _C_LEVEL[first] >= _C_LEVEL[second]:
+            grouped = "($a %s $b) %s $c" % (first, second)
+        else:
+            grouped = "$a %s ($b %s $c)" % (first, second)
+        assert _shape(text) == _shape(grouped)
+        _same_on_every_tier(text, grouped)
+
+    def test_ternary_groups_right_to_left(self):
+        for text, grouped in [
+                ("$a ? $b : $c ? 4 : 5", "$a ? $b : ($c ? 4 : 5)"),
+                ("$a ? $b ? 4 : 5 : $c", "$a ? ($b ? 4 : 5) : $c"),
+                ("0 ? 1 : 0 ? 2 : 3", "0 ? 1 : (0 ? 2 : 3)")]:
+            assert _shape(text) == _shape(grouped)
+            _same_on_every_tier(text, grouped)
+
+    @pytest.mark.parametrize("op", _C_LEVEL)
+    def test_ternary_binds_looser_than_every_binary_operator(self, op):
+        text = "$a %s $b ? $c : 4 %s 5" % (op, op)
+        grouped = "($a %s $b) ? $c : (4 %s 5)" % (op, op)
+        assert _shape(text) == _shape(grouped)
+        _same_on_every_tier(text, grouped)
+
+    @pytest.mark.parametrize("unary, op", list(
+        itertools.product("-+!~", _C_LEVEL)))
+    def test_unary_binds_tighter_than_every_binary_operator(self, unary,
+                                                           op):
+        for text, grouped in [
+                ("%s$a %s $b" % (unary, op), "(%s$a) %s $b" % (unary, op)),
+                ("$a %s %s$b" % (op, unary), "$a %s (%s$b)" % (op, unary))]:
+            assert _shape(text) == _shape(grouped)
+            _same_on_every_tier(text, grouped)
 
 
 class TestBitwise:

@@ -89,32 +89,6 @@ class TestLoopbackAccounting:
         assert registry.histogram("x11.wire.rtt_ms",
                                   **label).value > count
 
-    def test_verify_mode_session_equivalent(self):
-        """Decoded-copy delivery proves the codec is lossless."""
-        def run(verify):
-            server = XServer()
-            display = Display(
-                server, buffering_enabled=True,
-                transport=lambda srv: LoopbackTransport(srv,
-                                                        verify=verify))
-            win = display.create_window(display.root, 0, 0, 40, 30)
-            display.select_input(win, ev.STRUCTURE_NOTIFY_MASK
-                                 | ev.EXPOSURE_MASK)
-            display.map_window(win)
-            display.configure_window(win, width=55)
-            display.flush()
-            atom = display.intern_atom("STATE")
-            display.change_property(win, atom, atom, "v=1")
-            display.flush()
-            events = []
-            while display.pending():
-                event = display.next_event()
-                events.append((event.type, event.window, event.width))
-            return (events, display.get_property(win, atom),
-                    server.requests)
-
-        assert run(False) == run(True)
-
     def test_capture_wire_frames_decode(self, server):
         display = Display(server)
         log = display.transport.capture_wire()
