@@ -81,7 +81,12 @@ def cmd_for(interp, argv: List[str]) -> str:
             break
         except TclContinue:
             pass
-        interp.eval(nxt)
+        try:
+            interp.eval(nxt)
+        except TclBreak:
+            # Tcl_ForCmd: ``break`` in the next script ends the loop
+            # normally; ``continue`` there propagates.
+            break
     return ""
 
 

@@ -87,7 +87,7 @@ def cmd_info(interp, argv: List[str]) -> str:
         # before the first call.
         if len(argv) != 3:
             raise _wrong_args("info disassemble procOrScript")
-        from .. import vm
+        from .. import lower
         from ..compile import compile_script
         target = interp.commands.get(argv[2])
         if isinstance(target, Proc):
@@ -98,15 +98,15 @@ def cmd_info(interp, argv: List[str]) -> str:
                     compiled = target.compiled = \
                         compile_script(target.body)
                 code = target.vm_code = \
-                    vm.code_for_proc(interp, compiled, target)
-            return vm.disassemble(code)
+                    lower.code_for_proc(interp, compiled, target)
+            return lower.disassemble(code)
         compiled = interp.compile(argv[2])
         if isinstance(compiled, str):
             compiled = compile_script(compiled)
         code = compiled.vm_code
         if code is None:
-            code = vm.code_for_script(interp, compiled)
-        return vm.disassemble(code)
+            code = lower.code_for_script(interp, compiled)
+        return lower.disassemble(code)
     if option == "tclversion":
         return _VERSION
     if option == "cmdcount":

@@ -185,9 +185,9 @@ class _Node:
     """Base of the AST nodes.
 
     ``_CHILDREN`` names the slots that hold operand nodes.  Code that
-    walks or rewrites a tree (the bytecode VM binds ``[script]``
-    operands to compiled code) goes through :meth:`children` and
-    :meth:`map_children`, so the node layout is known only here.
+    walks a tree (the bytecode VM lowers trees that run ``[script]``
+    operands to postfix ops) goes through :meth:`children`, so the
+    node layout is known only here.
     """
 
     __slots__ = ()
@@ -196,23 +196,6 @@ class _Node:
     def children(self) -> tuple:
         """The operand nodes, in source order."""
         return tuple(getattr(self, name) for name in self._CHILDREN)
-
-    def map_children(self, fn):
-        """This node with ``fn`` applied to every operand node:
-        ``self`` when ``fn`` returned each child unchanged, otherwise a
-        shallow copy holding the new children."""
-        copy = None
-        for name in self._CHILDREN:
-            child = getattr(self, name)
-            new = fn(child)
-            if new is not child:
-                if copy is None:
-                    t = type(self)
-                    copy = t.__new__(t)
-                    for slot in t.__slots__:
-                        setattr(copy, slot, getattr(self, slot))
-                setattr(copy, name, new)
-        return self if copy is None else copy
 
 
 class _ConstNode(_Node):
@@ -400,13 +383,6 @@ class _FuncNode(_Node):
 
     def children(self) -> tuple:
         return tuple(self.arguments)
-
-    def map_children(self, fn):
-        arguments = [fn(argument) for argument in self.arguments]
-        if all(new is old
-               for new, old in zip(arguments, self.arguments)):
-            return self
-        return _FuncNode(self.name, arguments)
 
     def eval(self, interp, evaluate: bool) -> Value:
         values = [argument.eval(interp, evaluate)

@@ -26,7 +26,7 @@ from .errors import (TclBreak, TclContinue, TclError, TclReturn)
 from .lists import format_list, parse_list
 from .value import (SlotLink as _SlotLink, UNSET as _UNSET, Value as _Value,
                     to_str as _to_value_str)
-from . import vm as _vm
+from . import lower as _lower, vm as _vm
 
 CommandProc = Callable[["Interp", List[str]], Optional[str]]
 
@@ -39,9 +39,12 @@ _MAX_NESTING_DEPTH = 1000
 #: survive an application that churns through many one-off scripts.
 _COMPILE_CACHE_LIMIT = 2048
 
-# Each Tcl nesting level consumes several Python stack frames; make
-# sure Python's limit is not hit before Tcl's own _MAX_NESTING_DEPTH
-# diagnostic can trigger.
+# The tree-walking tiers (``bytecode_enabled=False`` and
+# ``compile_enabled=False``) spend several Python stack frames per Tcl
+# nesting level; make sure Python's limit is not hit before Tcl's own
+# _MAX_NESTING_DEPTH diagnostic can trigger there.  The bytecode VM runs
+# procedure calls, substitutions and bodies in one dispatch loop and
+# does not need the raised limit.
 import sys as _sys  # noqa: E402  (deliberate placement with its setting)
 
 if _sys.getrecursionlimit() < 20000:
@@ -172,6 +175,9 @@ class Interp:
         #: read/write frame storage directly.  ``trace`` flips it and
         #: the VM falls back to the (hooked) get_var/set_var methods.
         self._vm_direct = True
+        #: True while the outermost VM dispatch loop runs on its own
+        #: stack chunk (see ``vm.run``).
+        self._vm_spaced = False
         #: LRU of script text -> CompiledScript, bounded by
         #: ``_compile_limit`` (an attribute so tests can shrink it).
         self._compile_cache: "OrderedDict[str, CompiledScript]" = \
@@ -322,7 +328,7 @@ class Interp:
                     not self._trace_on:
                 code = compiled.vm_code
                 if code is None:
-                    code = _vm.code_for_script(self, compiled)
+                    code = _lower.code_for_script(self, compiled)
                 result = _vm.run(self, code, self.frames[-1])
                 if type(result) is str or type(result) is _Value:
                     return result
@@ -751,33 +757,12 @@ class Interp:
             self.frames.pop()
 
     def _call_proc_vm(self, proc: Proc, argv: List[str]) -> str:
-        """Procedure call on the bytecode path: body compiled to
-        bytecode once (on the Proc, like ``compiled``), formals bound
-        straight into indexed slots, no name-dict traffic."""
-        code = proc.vm_code
-        if code is None:
-            compiled = proc.compiled
-            if compiled is None:
-                compiled = proc.compiled = compile_script(proc.body)
-            code = proc.vm_code = _vm.code_for_proc(self, compiled, proc)
-        if self.depth >= _MAX_NESTING_DEPTH:
-            raise TclError(
-                "too many nested calls to Tcl_Eval (infinite loop?)")
-        if code.simple_arity == len(argv) - 1:
-            # No defaults, no ``args``, right count: binding is a copy.
-            slots = argv[1:]
-        else:
-            slots = self._bind_slots(proc, argv)
-        frame = CallFrame.__new__(CallFrame)
-        frame.variables = {}
-        frame.links = {}
-        frame.level = len(self.frames)
-        frame.proc_name = proc.name
-        frame.argv = argv
-        frame.slots = slots
-        frame.slot_map = code.slot_map
-        self.depth += 1
-        self.frames.append(frame)
+        """Procedure call on the bytecode path from outside the VM's
+        dispatch loop (a call from bytecode pushes a frame record in
+        the loop instead): body compiled to bytecode once (on the Proc,
+        like ``compiled``), formals bound straight into indexed slots,
+        no name-dict traffic."""
+        code, frame = _vm.enter_proc(self, proc, argv)
         try:
             try:
                 result = _vm.run(self, code, frame)

@@ -5,15 +5,16 @@ re-parsing, but execution still walks a tree of ``CompiledCommand``
 objects: every ``incr`` re-splits its variable name, every ``while``
 re-enters the generic command machinery, and every value crossing a
 command boundary is a string.  This module compiles those plans one
-step further, into a flat tuple of *opcodes* executed by a single
+step further, into one flat list of *opcodes* per unit (a script or a
+procedure body; :mod:`repro.tcl.lower` builds it), executed by a single
 dispatch loop:
 
 * dedicated opcodes for the hot shapes — ``set``/``incr`` (with the
   variable name pre-split and, inside procedures, pre-resolved to a
   local slot index), ``expr`` evaluated straight off the cached AST
-  with raw ints/floats on the (implicit) stack, and structured
-  ``if``/``while``/``for``/``foreach`` ops whose bodies are nested
-  code objects — no command dispatch per iteration;
+  with raw ints/floats, and ``if``/``while``/``for``/``foreach``
+  lowered to conditional and unconditional jumps in the unit's op
+  list — no command dispatch per iteration;
 * an inline cache per call site for command resolution, keyed on the
   interpreter's ``commands_epoch`` exactly like the tree walker's
   memoization;
@@ -24,42 +25,67 @@ dispatch loop:
 Deoptimization discipline
 -------------------------
 
-Each dedicated opcode embeds builtin semantics (the ``while`` loop
-above *is* ``cmd_while``), which is only sound while the builtin it
+Each dedicated opcode embeds builtin semantics (the ``while`` jumps
+*are* ``cmd_while``), which is only sound while the builtin it
 replaces is still the registered command procedure.  A code object
 therefore records the builtin names it specialized on; ``_usable``
 revalidates that set against the live command table whenever the
-epoch moves.  When validation fails — someone renamed ``set``, or the
-span tracer started collecting — every opcode falls back to its
-embedded :class:`~repro.tcl.compile.CompiledCommand`, which restores
-tree-walking semantics (including trace spans) exactly.
+epoch moves.  The first op of every command carries a *start* record
+(the command itself when it is one op, else ``(command, end pc,
+counts)``): there, before the command substitutes any word, the loop
+checks the unit's ``(interp, epoch)`` stamp and the tracer flag.  When validation fails — someone renamed ``set``, or the
+span tracer started collecting — the loop runs the command's embedded
+:class:`~repro.tcl.compile.CompiledCommand` on the tree path (which
+restores tree-walking semantics, trace spans included) and jumps to
+the command's end.
 
-Command substitution
---------------------
+Substitutions, expressions and calls in the loop
+------------------------------------------------
 
-A word that is one ``[script]`` compiles into the same unit as the
-command that uses it: the builder turns the script into a nested
-:class:`Code` (sharing the unit's ``specialized`` set and slot map),
-and :func:`_substitute` runs it in the caller's frame, so command
-substitution never leaves the dispatch loop through ``Interp.eval``.
-A script that is one specialized ``expr`` is not even a nested run: its
-AST is evaluated in place.  Expressions get the same treatment: a
-``[script]`` operand of ``expr`` or of an ``if``/``while``/``for``
-condition becomes a :class:`_SubstNode` in a private copy of the cached
-AST (the cache is shared by every interpreter in the process, and a
-nested code object holds its interpreter in ``valid``).  Four rules
-keep this indistinguishable from ``Interp.eval``:
+Nothing that runs Tcl code leaves the loop by Python recursion:
 
-* *validity* — the in-place ``[expr]`` checks the nested code's
-  ``(interp, epoch)`` stamp and the tracer flag first, as ``run`` does
-  before each op, and otherwise takes the ordinary (deoptimizing) path;
-* *depth* — every substitution takes one ``interp.depth`` level, so
-  runaway recursion stops at the same Tcl level with the same message;
+* a ``[script]`` word, or a word that mixes ``[script]`` with text or
+  holds it in an array index, lowers inline: a ``SUBST`` op opens the
+  script's ops and ``PUSH_RESULT`` leaves its value on the unit's
+  operand stack, where the command op takes it;
+* an expression holding a ``[script]`` or a quoted string with one
+  lowers to postfix ops over the operand stack; ``&&``, ``||`` and
+  ``?:`` become jumps, and the side they do not evaluate still reads
+  its ``$var`` operands in order, as the tree does.  A subtree with no
+  such operand stays one fused :func:`_expr_eval` op, and a ``[expr
+  {...}]`` word over such a tree is evaluated in place, inside the op
+  that uses it;
+* a call to a procedure with VM code pushes a *frame record* (code,
+  pc, operand stack, ``CallFrame``, base depth) on an explicit list
+  and continues in the same loop with the callee's ops; ``return``, or
+  the end of the body, pops the record and hands the result to the
+  caller's op.
+
+Builtins, variable reads, the fused expression evaluator, ``catch``,
+``uplevel``, ``unknown`` and every deoptimized command still call out,
+and may re-enter :func:`run` through ``Interp.eval``; the Tcl code the
+loop runs itself costs no Python stack.  Four rules keep all of this
+indistinguishable from the tree walker:
+
+* *depth* — every substitution, body and call takes one
+  ``interp.depth`` level, checked against the guard where it is
+  entered, so runaway recursion stops at the same Tcl level with the
+  same message;
 * *values* — a raw int may cross a substitution (its string rep is
   exact); anything else goes through ``to_str``, so a float is rounded
   to its ``%.12g`` string exactly where the tree walker rounds it;
-* *counters* — ``info cmdcount``, ``errorInfo`` and
-  ``tcl.vm.dispatches`` advance as they would through ``Interp.eval``.
+* *counters* — ``info cmdcount`` and ``tcl.vm.dispatches`` advance as
+  they would with one ``run`` per body and substitution: entering a
+  body or substitution counts its commands;
+* *errors* — an op adds its own command to ``errorInfo``; as an error
+  unwinds, each pc adds the static chain of enclosing commands that
+  wrap its errors (``expr``, ``if``, the loops), and each popped frame
+  record adds the call that pushed it.  Word substitution is not in
+  the chain, as in the tree walker.
+
+``break`` and ``continue`` jump to static targets (pc, nest level,
+stack height) in the unit; the same targets catch a ``TclBreak`` or
+``TclContinue`` raised by a callout.
 
 Value discipline
 ----------------
@@ -78,55 +104,76 @@ whole module.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from .compile import (CompiledScript, _append_error_info, _CmdStep,
-                      _VarStep, compile_script)
+try:
+    import resource as _resource
+except ImportError:             # not a Unix host: never respace
+    _resource = None
+
+from .compile import _append_error_info, compile_script
 from .errors import TclBreak, TclContinue, TclError, TclReturn
-from .expr import (_BinaryNode, _CmdNode, _ConstNode, _Node, _UnaryNode,
-                   _VarNode, compile_expr, require_int, require_number,
-                   truth)
+from .expr import (_BinaryNode, _call_math_function, _ConstNode,
+                   _UnaryNode, _VarNode, require_int, require_number, truth)
 from .lists import parse_list
 from .strings import _to_int
 from .value import (SlotLink as _SlotLink, Value as _Value, cached_number,
-                    literal, to_str)
+                    to_str)
 
 # ---------------------------------------------------------------------------
 # opcodes
 # ---------------------------------------------------------------------------
 
-# Opcodes up to OP_RETURN substitute a word before their command
-# counts (``info cmdcount``), as the tree walker does; the rest count
-# on dispatch.
-OP_GENERIC = 0        # (op, cmd)
-OP_CALL = 1           # (op, name, const_argv, plans, cache, cmd)
-OP_SET_SLOT = 2       # (op, slot, name, plan, cmd)
-OP_SET_NAME = 3       # (op, name, index, plan, cmd)
-OP_INCR_SLOT = 4      # (op, slot, name, amount, cmd)
-OP_INCR_NAME = 5      # (op, name, index, amount, cmd)
-OP_FOREACH = 6        # (op, targets, plan, body, cmd)
-OP_RETURN = 7         # (op, plan, cmd)  returns from run in a proc body
-OP_EXPR = 8           # (op, ast, text, cmd)
-OP_IF = 9             # (op, branches, else_code, cmd)
-OP_WHILE = 10         # (op, ast, text, body, cmd)
-OP_FOR = 11           # (op, start, ast, text, next, body, cmd)
-OP_BREAK = 12         # (op, cmd)
-OP_CONTINUE = 13      # (op, cmd)
+# Every op is a tuple ``(kind, start, operands...)`` (a list while the
+# builder patches jump targets); ``start`` is the start record of the
+# command the op begins, or None.  Plans marked
+# ``_STACK`` take their value from the operand stack.
+OP_CALL = 0           # name, const_argv, plans, cache, cmd
+OP_SUBST = 1          # n, commands, end, raw      open a [script]
+OP_PUSH_RESULT = 2    # raw                        close it: push result
+OP_COND = 3           # ast, text, else, n, cmd    test; enter the body
+OP_LOOP = 4           # ast, text, body, n, cmd    leave body; test again
+OP_SET_SLOT = 5       # slot, name, plan, cmd
+OP_INCR_SLOT = 6      # slot, name, amount, cmd
+OP_RETURN = 7         # plan, cmd
+OP_BINARY = 8         # node                       postfix eager operator
+OP_EXPR_END = 9       # -                          expr result <- pop
+OP_END = 10           # -
+OP_SET_NAME = 11      # name, index, plan, cmd
+OP_INCR_NAME = 12     # name, index, amount, cmd
+OP_EXPR = 13          # ast, text, cmd             fused leaf expression
+OP_NEXT = 14          # n                          leave body, enter next
+OP_FOREACH = 15       # targets, plan, end, n, cmd
+OP_FOREACH_LOOP = 16  # targets, body, n, cmd
+OP_CALL_STACK = 17    # name, prefix, count, cache, cmd
+OP_PUSH = 18          # plan, raw
+OP_EVAL = 19          # ast                        push a fused leaf value
+OP_CONST = 20         # value
+OP_TEST = 21          # text, else, n, cmd         pop condition; enter
+OP_ENTER = 22         # n
+OP_LEAVE = 23         # target (None: fall through)
+OP_JUMP = 24          # target
+OP_JUMP_TRUTH = 25    # target, when               pop; jump if truth is when
+OP_TRUTH = 26         # -
+OP_UNARY = 27         # op
+OP_FUNC = 28          # name, count
+OP_DRY = 29           # vars                       read unevaluated $vars
+OP_PUSH_VAR_IX = 30   # name                       pop index, push element
+OP_CONCAT = 31        # template
+OP_POP = 32           # -
+OP_BREAK = 33         # target, cmd
+OP_CONTINUE = 34      # target, cmd
+OP_GENERIC = 35       # cmd
+OP_NOP = 36           # -                          carries a start record
 
-_MNEMONICS = {
-    OP_GENERIC: "GENERIC", OP_CALL: "CALL", OP_SET_SLOT: "SET_SLOT",
-    OP_SET_NAME: "SET_NAME", OP_INCR_SLOT: "INCR_SLOT",
-    OP_INCR_NAME: "INCR_NAME", OP_EXPR: "EXPR", OP_IF: "IF",
-    OP_WHILE: "WHILE", OP_FOR: "FOR", OP_FOREACH: "FOREACH",
-    OP_RETURN: "RETURN", OP_BREAK: "BREAK", OP_CONTINUE: "CONTINUE",
-}
-
-# Word-plan kinds (see _Builder._plan): literal strings are stored as
+# Word-plan kinds (see lower._Builder._plan): literal strings are stored as
 # Value objects directly; dynamic words become small tagged tuples.
 _P_VAR = 1            # (kind, name, index)   index: None | str | CompiledWord
-_P_CODE = 2           # (kind, code)          [script]: nested Code
-_P_EXPR = 3           # (kind, ast, code)     [expr {...}]: AST run in place
-_P_WORD = 4           # (kind, CompiledWord)
+_P_EXPR = 3           # (kind, ast, text, cmd, code)  [expr {leaf}] in place
+_P_WORD = 4           # (kind, CompiledWord)  text and $vars, no [script]
+
+#: A plan whose value the op pops from the operand stack.
+_STACK = object()
 
 _TOO_DEEP = "too many nested calls to Tcl_Eval (infinite loop?)"
 
@@ -134,16 +181,18 @@ _TOO_DEEP = "too many nested calls to Tcl_Eval (infinite loop?)"
 # interp/commands back at top level would cycle through a
 # partially-initialized module).
 _Proc = None
+_CallFrame = None
 _MAX_DEPTH = 1000
 _BUILTINS: Optional[dict] = None
 
 
 def _lazy_init() -> None:
-    global _Proc, _MAX_DEPTH, _BUILTINS
-    from .interp import Proc, _MAX_NESTING_DEPTH
+    global _Proc, _CallFrame, _MAX_DEPTH, _BUILTINS
+    from .interp import CallFrame, Proc, _MAX_NESTING_DEPTH
     from .commands import control, variables
     from .commands import strings as strcmds
     _Proc = Proc
+    _CallFrame = CallFrame
     _MAX_DEPTH = _MAX_NESTING_DEPTH
     _BUILTINS = {
         "set": variables.cmd_set,
@@ -160,32 +209,37 @@ def _lazy_init() -> None:
 
 
 class Code:
-    """A compiled opcode sequence.
+    """The flat opcode list of one unit (a script or a procedure body).
 
     ``slot_map`` maps formal names to slot indexes for procedure
     bodies (None for script-level code).  ``specialized`` is the set
     of builtin names whose semantics are baked into dedicated opcodes;
-    it is shared by a top-level code object and all its nested bodies,
-    so one revalidation covers the whole unit.  ``valid`` caches the
-    last successful validation as ``(interp, epoch)``.
+    ``valid`` caches the last successful validation as ``(interp,
+    epoch)``.  ``ncmds`` is the number of top-level commands (what one
+    run of the unit adds to ``tcl.vm.dispatches``), and ``contexts``
+    holds, per pc, ``(wraps, break target, continue target, nest)``:
+    the commands that add themselves to ``errorInfo`` when an error
+    unwinds through that pc, innermost first, and the static targets
+    of ``break``/``continue`` as ``[pc, nest, stack height]``.
     """
 
-    __slots__ = ("ops", "slot_map", "specialized", "valid", "source",
-                 "simple_arity", "proc_body")
+    __slots__ = ("ops", "slot_map", "specialized", "valid",
+                 "simple_arity", "proc_body", "ncmds", "contexts")
 
-    def __init__(self, ops: tuple, slot_map, specialized, source: str):
-        self.ops = ops
+    def __init__(self, slot_map, specialized):
+        self.ops: tuple = ()
         self.slot_map = slot_map
         self.specialized = specialized
         self.valid = None
-        self.source = source
         #: For procedure bodies whose formals have no defaults and no
         #: trailing ``args``: the exact argument count, letting the
         #: caller bind slots with one list slice.  None otherwise.
         self.simple_arity: Optional[int] = None
-        #: True for the top level of a procedure body, where ``return``
-        #: returns from :func:`run` instead of raising TclReturn.
+        #: True for procedure bodies, where ``return`` returns from the
+        #: body instead of raising TclReturn.
         self.proc_body = False
+        self.ncmds = 0
+        self.contexts: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +284,13 @@ def _resolve(interp, frame, plan) -> str:
         return interp.get_var(plan[1], index)
     if kind == _P_WORD:
         return plan[1].substitute(interp)
-    return to_str(_substitute(interp, frame, plan))
+    return to_str(_subst_expr(interp, frame, plan))
 
 
 def _resolve_raw(interp, frame, plan):
     """Like :func:`_resolve` but a plain variable read may return the
-    raw numeric cell, and a substitution a raw int (``set``/``incr``/
-    ``expr`` value positions)."""
+    raw numeric cell, and an in-place ``[expr]`` a raw int
+    (``set``/``incr`` value positions)."""
     t = type(plan)
     if t is _Value or t is str:
         return plan
@@ -250,59 +304,40 @@ def _resolve_raw(interp, frame, plan):
         return interp.get_var(plan[1], index)
     if kind == _P_WORD:
         return plan[1].substitute(interp)
-    result = _substitute(interp, frame, plan)
+    result = _subst_expr(interp, frame, plan)
     return result if type(result) is int else to_str(result)
 
 
-def _substitute(interp, frame, plan):
-    """Run a ``[script]`` plan in ``frame``; may return a raw value.
+def _subst_expr(interp, frame, plan):
+    """Evaluate an in-place ``[expr {...}]`` word; may return a raw value.
 
-    Takes one depth level, as ``Interp.eval`` would.  While the tracer
-    collects, the script runs on the tree path (``Interp.eval`` skips
-    the VM then, and the tracer wants its per-command spans).
+    Behaves as a one-command substitution: it takes one depth level,
+    counts one dispatch and one command, and adds the ``expr`` command
+    to ``errorInfo`` when evaluation fails.  When the unit is not
+    usable it runs the ``expr`` command on the tree path, as the
+    substitution's own op would; while the tracer collects that counts
+    no dispatch (``Interp.eval`` skips the VM then).
     """
     if interp.depth >= _MAX_DEPTH:
         raise TclError(_TOO_DEEP)
     interp.depth += 1
     try:
-        code = plan[-1]
-        if plan[0] == _P_EXPR:
-            v = code.valid
-            if v is not None and v[0] is interp and \
-                    v[1] == interp.commands_epoch and not interp._trace_on:
-                interp._m_vm_dispatches.value += 1
-                interp._m_commands.value += 1
-                try:
-                    return _expr_eval(interp, frame, plan[1])
-                except (TclError,) + interp.native_error_types as error:
-                    raise _expr_error(error, code.ops[0][-1])
-        if interp._trace_on:
-            result = ""
-            for op in code.ops:
-                result = op[-1].execute(interp)
-            return result
-        return run(interp, code, frame)
+        code = plan[4]
+        v = code.valid
+        if (v is not None and v[0] is interp and
+                v[1] == interp.commands_epoch and not interp._trace_on) \
+                or _usable(interp, code):
+            interp._m_vm_dispatches.value += 1
+            interp._m_commands.value += 1
+            try:
+                return _expr_eval(interp, frame, plan[1])
+            except (TclError,) + interp.native_error_types as error:
+                raise _expr_error(error, plan[3])
+        if not interp._trace_on:
+            interp._m_vm_dispatches.value += 1
+        return plan[3].execute(interp)
     finally:
         interp.depth -= 1
-
-
-class _SubstNode:
-    """A ``[script]`` expression operand bound to a substitution plan
-    of its unit.  Only private AST copies hold these (see
-    :meth:`_Builder._bind`)."""
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan):
-        self.plan = plan
-
-    def eval(self, interp, evaluate: bool):
-        # Reached through the lazy operators' own ``eval``; the VM's
-        # frame is always the interpreter's current one.
-        if not evaluate:
-            return ""
-        result = _substitute(interp, interp.frames[-1], self.plan)
-        return result if type(result) is int else to_str(result)
 
 
 def _load_var(interp, frame, name):
@@ -340,13 +375,13 @@ def _as_int(value) -> int:
 # ---------------------------------------------------------------------------
 
 def _expr_eval(interp, frame, node):
-    """Evaluate an expression AST with raw variable reads.
+    """Evaluate a leaf expression AST with raw variable reads.
 
-    Only the nodes that dominate hot expressions are special-cased
-    (``[script]`` operands run in the unit through
-    :func:`_substitute`); anything lazy (``&&``/``||``/``?:``), function
-    calls and quoted substitutions delegate to the node's own ``eval``,
-    which is the exact tree-walking semantics.
+    Only the nodes that dominate hot expressions are special-cased;
+    anything lazy (``&&``/``||``/``?:``), function calls and quoted
+    strings delegate to the node's own ``eval``, which is the exact
+    tree-walking semantics.  The builder hands this function only trees
+    with no ``[script]`` to run.
     """
     t = type(node)
     if t is _BinaryNode:
@@ -428,19 +463,18 @@ def _expr_eval(interp, frame, node):
             return _load_var(interp, frame, var.name)
         return interp.value_of(var)
     if t is _UnaryNode:
-        operand = _expr_eval(interp, frame, node.operand)
-        op = node.op
-        if op == "-":
-            return -require_number(operand)
-        if op == "+":
-            return +require_number(operand)
-        if op == "!":
-            return int(not truth(operand))
-        return ~require_int(operand)
-    if t is _SubstNode:
-        result = _substitute(interp, frame, node.plan)
-        return result if type(result) is int else to_str(result)
+        return _unary(node.op, _expr_eval(interp, frame, node.operand))
     return node.eval(interp, True)
+
+
+def _unary(op: str, operand):
+    if op == "-":
+        return -require_number(operand)
+    if op == "+":
+        return +require_number(operand)
+    if op == "!":
+        return int(not truth(operand))
+    return ~require_int(operand)
 
 
 def _expr_error(error, cmd):
@@ -455,8 +489,7 @@ def _expr_error(error, cmd):
     return error
 
 
-def _cond(interp, frame, ast, text: str) -> bool:
-    value = _expr_eval(interp, frame, ast)
+def _cond_value(value, text: str) -> bool:
     number = cached_number(value)
     if number is None:
         raise TclError(
@@ -464,706 +497,676 @@ def _cond(interp, frame, ast, text: str) -> bool:
     return number != 0
 
 
+def _assign(interp, frame, targets, values, position) -> None:
+    """Bind one chunk of a ``foreach`` list to its loop variables."""
+    n_values = len(values)
+    direct = interp._vm_direct
+    for ix, name in targets:
+        value = values[position] if position < n_values else ""
+        position += 1
+        if ix is not None and direct:
+            slots = frame.slots
+            cell = slots[ix]
+            if type(cell) is not dict and type(cell) is not _SlotLink:
+                slots[ix] = value
+                continue
+        interp.set_var(name, value)
+        direct = interp._vm_direct
+
+
+# ---------------------------------------------------------------------------
+# procedure frames
+# ---------------------------------------------------------------------------
+
+def enter_proc(interp, proc, argv):
+    """Set up a call of ``proc``: its code (compiled on first call, and
+    kept on the Proc), the depth guard, a CallFrame with the formals
+    bound straight into indexed slots, pushed on ``interp.frames`` one
+    depth level down.  Returns ``(code, frame)``."""
+    code = proc.vm_code
+    if code is None:
+        from .lower import code_for_proc
+        compiled = proc.compiled
+        if compiled is None:
+            compiled = proc.compiled = compile_script(proc.body)
+        code = proc.vm_code = code_for_proc(interp, compiled, proc)
+    if interp.depth >= _MAX_DEPTH:
+        raise TclError(_TOO_DEEP)
+    if code.simple_arity == len(argv) - 1:
+        # No defaults, no ``args``, right count: binding is a copy.
+        slots = argv[1:]
+    else:
+        slots = interp._bind_slots(proc, argv)
+    frame = _CallFrame.__new__(_CallFrame)
+    frame.variables = {}
+    frame.links = {}
+    frame.level = len(interp.frames)
+    frame.proc_name = proc.name
+    frame.argv = argv
+    frame.slots = slots
+    frame.slot_map = code.slot_map
+    interp.depth += 1
+    interp.frames.append(frame)
+    return code, frame
+
+
+def _unwind(interp, error, code, pc, records, depth) -> None:
+    """Add ``errorInfo`` for an error raised at ``pc - 1`` of ``code``
+    as it unwinds every frame record, then restore ``interp.frames``
+    and ``interp.depth`` (to ``depth``) for the caller of :func:`run`."""
+    while True:
+        for source in code.contexts[pc - 1][0]:
+            _append_error_info(error, source)
+        if not records:
+            break
+        interp.frames.pop()
+        code, pc = records.pop()[:2]
+        _append_error_info(error, code.ops[pc - 1][-1].source)
+    interp.depth = depth
+
+
+def _abandon(interp, records, depth) -> None:
+    """Drop every frame record without adding ``errorInfo``."""
+    for _ in records:
+        interp.frames.pop()
+    interp.depth = depth
+
+
 # ---------------------------------------------------------------------------
 # dispatch loop
 # ---------------------------------------------------------------------------
 
-def _exec_body(interp, code: Code, frame):
-    """Run a nested body with the same depth guard ``interp.eval``
-    applies, so runaway recursion through loop/if bodies raises the
-    Tcl diagnostic instead of exhausting the Python stack."""
-    if interp.depth >= _MAX_DEPTH:
-        raise TclError(_TOO_DEEP)
-    interp.depth += 1
-    try:
-        return run(interp, code, frame)
-    finally:
-        interp.depth -= 1
+#: Value-stack slots declared by :func:`_spaced`'s code: more than a
+#: 16 KB chunk of CPython's frame stack can hold.
+_SPACER_SLOTS = 2100
+#: A run counts its procedure calls and loop back-edges ("events") and
+#: reads the thread's minor page faults at the second event and then at
+#: every _PROBE_EVERY-th (a read costs far less than that many events);
+#: if they grew by _THRASH_FAULTS since the last read, its helpers are
+#: straddling a chunk boundary.
+_PROBE_EVERY = 16
+_THRASH_FAULTS = 3
+_RUSAGE_THREAD = getattr(_resource, "RUSAGE_THREAD", None) \
+    if _resource is not None else None
 
 
-def run(interp, code: Code, frame):
-    """Execute a code object against ``frame``; may return a raw value.
+def _thread_faults() -> int:
+    if _RUSAGE_THREAD is None:
+        return 0
+    return _resource.getrusage(_RUSAGE_THREAD).ru_minflt
+
+
+def _spaced(interp, state):
+    return run(interp, None, None, state)
+
+
+# CPython (3.11+) keeps frames in 16 KB chunks of a per-thread stack,
+# maps a new chunk when a frame does not fit, and unmaps it when the
+# frame at its base returns.  A hot helper whose frame straddles a
+# boundary therefore maps and unmaps a chunk on every call, and where
+# the boundary falls depends only on the entry depth.  A frame that
+# declares more value-stack slots than a chunk holds never fits in the
+# current chunk, so CPython maps a fresh one for it with at least 1000
+# free slots after the frame (its MINIMUM_OVERHEAD): the dispatch loop
+# called from there has its helpers' frames in one chunk at any entry
+# depth.  The declared slots are never written, so they cost no pages,
+# but mapping the chunk costs about as much as ten procedure calls, so
+# a run moves only when its own page faults show the straddle.
+_spaced = type(_spaced)(
+    _spaced.__code__.replace(co_stacksize=_SPACER_SLOTS), globals(),
+    "_spaced")
+
+
+def run(interp, code: Code, frame, state=None):
+    """Execute a unit against ``frame``; may return a raw value.
 
     Error-info accumulation matches the tree walker exactly: word
     *resolution* errors propagate unwrapped (substitution happens
     before a tree command enters its try block), while errors from the
     operation itself are wrapped with the command source.
+
+    When the outermost run page-faults while it makes procedure calls
+    and takes loop back-edges, it leaves the loop with its locals in
+    ``state`` and resumes them under :func:`_spaced`, on a fresh stack
+    chunk.  Runs with fewer than two such events never measure.
     """
-    ops = code.ops
-    interp._m_vm_dispatches.value += len(ops)
-    v = code.valid
-    if v is not None and v[0] is interp and \
-            v[1] == interp.commands_epoch and not interp._trace_on:
-        valid = True
+    m_dispatches = interp._m_vm_dispatches
+    m_commands = interp._m_commands
+    if state is None:
+        m_dispatches.value += code.ncmds
+        pc = 0
+        stack: list = []
+        #: Frame records of the procedure calls in progress, outermost
+        #: first: (code, pc, stack, frame, base); a list from the first
+        #: call on.
+        records = ()
+        base = entry_depth = interp.depth
+        result = ""
+        spaced = interp._vm_spaced
+        events = faults = 0
     else:
-        valid = _usable(interp, code)
-    result = ""
-    for op in ops:
-        # An earlier op may have run arbitrary Tcl (redefining a
-        # builtin or starting the tracer): recheck cheaply via the
-        # cached (interp, epoch) stamp before each dedicated op.
-        if valid:
-            v = code.valid
-            if v[0] is not interp or v[1] != interp.commands_epoch or \
-                    interp._trace_on:
-                valid = _usable(interp, code)
-        if not valid:
-            result = op[-1].execute(interp)
-            valid = _usable(interp, code)
-            continue
-        kind = op[0]
-        if kind > OP_RETURN:
-            # Every dedicated opcode stands in for one command
-            # invocation; keep ``info cmdcount`` exact.  (The others
-            # count on their own paths, once their words resolved.)
-            interp._m_commands.value += 1
-        if kind == OP_CALL:
-            cache = op[4]
-            if cache[0] is interp and cache[1] == interp.commands_epoch:
-                target = cache[2]
-                interp._m_vm_cache_hits.value += 1
-            else:
-                target = interp.commands.get(op[1])
-                if target is not None:
-                    cache[0] = interp
-                    cache[1] = interp.commands_epoch
-                    cache[2] = target
-            const = op[2]
-            if const is not None:
-                argv = const[:]
-            else:
-                argv = [_resolve(interp, frame, plan) for plan in op[3]]
-            if target is None:
-                # Unknown-command handling, never cached (the handler
-                # may define the command).
-                result = interp._invoke(argv, op[5].source)
-                continue
-            interp._m_commands.value += 1
-            try:
-                if type(target) is _Proc:
-                    result = interp._call_proc_vm(target, argv)
-                else:
-                    r = target(interp, argv)
-                    result = r if r is not None else ""
-            except TclError as error:
-                _append_error_info(error, op[5].source)
-                raise
-            except interp.native_error_types as error:
-                converted = TclError(str(error))
-                _append_error_info(converted, op[5].source)
-                raise converted from error
-        elif kind == OP_SET_SLOT:
-            value = _resolve_raw(interp, frame, op[3])
-            interp._m_commands.value += 1
-            if interp._vm_direct:
-                slots = frame.slots
-                cell = slots[op[1]]
-                if type(cell) is not dict and type(cell) is not _SlotLink:
-                    slots[op[1]] = value
-                    result = value
+        code, pc, stack, frame, base, records, entry_depth, result = state
+        spaced = True
+    ops = code.ops
+    while True:
+        try:
+            while True:
+                op = ops[pc]
+                pc += 1
+                start = op[1]
+                if start is not None:
+                    # A command begins: an earlier op may have run
+                    # arbitrary Tcl (redefining a builtin or starting
+                    # the tracer), so recheck via the cached stamp.
+                    v = code.valid
+                    if v is None or v[0] is not interp or \
+                            v[1] != interp.commands_epoch or \
+                            interp._trace_on:
+                        if not _usable(interp, code):
+                            if type(start) is tuple:
+                                result = start[0].execute(interp)
+                                pc = start[1]
+                            else:
+                                result = start.execute(interp)
+                            continue
+                    if type(start) is tuple and start[2]:
+                        # Commands whose tree form counts before it
+                        # substitutes anything (the control commands
+                        # and a lowered ``expr``).
+                        m_commands.value += 1
+                kind = op[0]
+                if kind == OP_CALL:
+                    const = op[3]
+                    if const is not None:
+                        argv = const[:]
+                    else:
+                        argv = []
+                        for plan in op[4]:
+                            t = type(plan)
+                            argv.append(plan if t is _Value or t is str
+                                        else _resolve(interp, frame, plan))
+                elif kind == OP_END:
+                    if not records:
+                        interp.depth = entry_depth
+                        return result
+                    # Return from a procedure: pop its frame record.
+                    if type(result) is not str and \
+                            type(result) is not _Value:
+                        result = to_str(result)
+                    interp.frames.pop()
+                    interp.depth = base - 1
+                    code, pc, stack, frame, base = records.pop()
+                    ops = code.ops
                     continue
-            try:
-                result = interp.set_var(op[2], value)
-            except TclError as error:
-                _append_error_info(error, op[4].source)
-                raise
-        elif kind == OP_SET_NAME:
-            value = _resolve_raw(interp, frame, op[3])
-            interp._m_commands.value += 1
-            name = op[1]
-            if op[2] is None and interp._vm_direct and not frame.links:
-                # The compiler guarantees ``name`` is not a formal of
-                # this code's slot_map; a *different* frame (uplevel)
-                # may still map it, hence the runtime check.
-                slot_map = frame.slot_map
-                if slot_map is None or name not in slot_map:
-                    variables = frame.variables
-                    if type(variables.get(name)) is not dict:
-                        variables[name] = value
-                        result = value
+                elif kind == OP_INCR_NAME:
+                    amount = op[4]
+                    if amount is _STACK:
+                        amount = stack.pop()
+                    elif type(amount) is not int:
+                        amount = _resolve_raw(interp, frame, amount)
+                    m_commands.value += 1
+                    name = op[2]
+                    try:
+                        if op[3] is None and interp._vm_direct and \
+                                not frame.links:
+                            slot_map = frame.slot_map
+                            if slot_map is None or name not in slot_map:
+                                variables = frame.variables
+                                cell = variables.get(name)
+                                t = type(cell)
+                                if t is int:
+                                    result = cell + _as_int(amount)
+                                    variables[name] = result
+                                    continue
+                                if t is str or t is _Value or t is float:
+                                    result = _as_int(cell) + \
+                                        _as_int(amount)
+                                    variables[name] = result
+                                    continue
+                        current = _as_int(interp.get_var(name, op[3]))
+                        result = interp.set_var(
+                            name, str(current + _as_int(amount)), op[3])
+                    except TclError as error:
+                        _append_error_info(error, op[5].source)
+                        raise
+                    continue
+                elif kind == OP_SET_NAME:
+                    plan = op[4]
+                    value = stack.pop() if plan is _STACK \
+                        else _resolve_raw(interp, frame, plan)
+                    m_commands.value += 1
+                    name = op[2]
+                    if op[3] is None and interp._vm_direct and \
+                            not frame.links:
+                        # The compiler guarantees ``name`` is not a
+                        # formal of this code's slot_map; a *different*
+                        # frame (uplevel) may still map it, hence the
+                        # runtime check.
+                        slot_map = frame.slot_map
+                        if slot_map is None or name not in slot_map:
+                            variables = frame.variables
+                            if type(variables.get(name)) is not dict:
+                                variables[name] = value
+                                result = value
+                                continue
+                    try:
+                        result = interp.set_var(name, value, op[3])
+                    except TclError as error:
+                        _append_error_info(error, op[5].source)
+                        raise
+                    continue
+                elif kind == OP_SUBST:
+                    if interp.depth >= _MAX_DEPTH:
+                        raise TclError(_TOO_DEEP)
+                    interp.depth += 1
+                    if interp._trace_on:
+                        # The tracer wants per-command spans: run the
+                        # script on the tree path, as Interp.eval would.
+                        result = ""
+                        for cmd in op[3]:
+                            result = cmd.execute(interp)
+                        interp.depth -= 1
+                        if op[5]:
+                            stack.append(result if type(result) is int
+                                         else to_str(result))
+                        else:
+                            stack.append(to_str(result))
+                        pc = op[4]
                         continue
-            try:
-                result = interp.set_var(name, value, op[2])
-            except TclError as error:
-                _append_error_info(error, op[4].source)
-                raise
-        elif kind == OP_INCR_SLOT:
-            amount = op[3]
-            if type(amount) is not int:
-                amount = _resolve_raw(interp, frame, amount)
-            interp._m_commands.value += 1
-            try:
-                if interp._vm_direct:
-                    slots = frame.slots
-                    cell = slots[op[1]]
-                    t = type(cell)
-                    if t is int:
-                        result = cell + _as_int(amount)
-                        slots[op[1]] = result
-                        continue
-                    if t is str or t is _Value or t is float:
-                        result = _as_int(cell) + _as_int(amount)
-                        slots[op[1]] = result
-                        continue
-                current = _as_int(interp.get_var(op[2]))
-                result = interp.set_var(op[2], str(current + _as_int(amount)))
-            except TclError as error:
-                _append_error_info(error, op[4].source)
-                raise
-        elif kind == OP_INCR_NAME:
-            amount = op[3]
-            if type(amount) is not int:
-                amount = _resolve_raw(interp, frame, amount)
-            interp._m_commands.value += 1
-            name = op[1]
-            try:
-                if op[2] is None and interp._vm_direct and not frame.links:
-                    slot_map = frame.slot_map
-                    if slot_map is None or name not in slot_map:
-                        variables = frame.variables
-                        cell = variables.get(name)
-                        t = type(cell)
-                        if t is int:
-                            result = cell + _as_int(amount)
-                            variables[name] = result
+                    m_dispatches.value += op[2]
+                    result = ""
+                    continue
+                elif kind == OP_PUSH_RESULT:
+                    interp.depth -= 1
+                    if op[2]:
+                        stack.append(result if type(result) is int
+                                     else to_str(result))
+                    else:
+                        stack.append(result if type(result) is str or
+                                     type(result) is _Value
+                                     else to_str(result))
+                    continue
+                elif kind == OP_LOOP:
+                    interp.depth -= 1
+                    value = _expr_eval(interp, frame, op[2])
+                    number = value if type(value) is int \
+                        else cached_number(value)
+                    if number is None:
+                        _cond_value(value, op[3])
+                    result = ""
+                    if number:
+                        interp.depth += 1
+                        m_dispatches.value += op[5]
+                        pc = op[4]
+                        if not spaced:
+                            events += 1
+                            if events == 2 or not events % _PROBE_EVERY:
+                                now = _thread_faults()
+                                if events > 2 and \
+                                        now - faults >= _THRASH_FAULTS:
+                                    state = (code, pc, stack, frame, base,
+                                             records, entry_depth, result)
+                                    break
+                                faults = now
+                    continue
+                elif kind == OP_COND:
+                    value = _expr_eval(interp, frame, op[2])
+                    number = value if type(value) is int \
+                        else cached_number(value)
+                    if number is None:
+                        _cond_value(value, op[3])
+                    result = ""
+                    if number:
+                        if interp.depth >= _MAX_DEPTH:
+                            raise TclError(_TOO_DEEP)
+                        interp.depth += 1
+                        m_dispatches.value += op[5]
+                    else:
+                        pc = op[4]
+                    continue
+                elif kind == OP_RETURN:
+                    plan = op[2]
+                    if plan is None:
+                        result = ""
+                    elif plan is _STACK:
+                        result = stack.pop()
+                    else:
+                        result = _resolve(interp, frame, plan)
+                    m_commands.value += 1
+                    if not code.proc_body:
+                        raise TclReturn(result)
+                    pc = len(ops) - 1       # the body's OP_END
+                    continue
+                elif kind == OP_SET_SLOT:
+                    plan = op[4]
+                    value = stack.pop() if plan is _STACK \
+                        else _resolve_raw(interp, frame, plan)
+                    m_commands.value += 1
+                    if interp._vm_direct:
+                        slots = frame.slots
+                        cell = slots[op[2]]
+                        if type(cell) is not dict and \
+                                type(cell) is not _SlotLink:
+                            slots[op[2]] = value
+                            result = value
                             continue
-                        if t is str or t is _Value or t is float:
-                            result = _as_int(cell) + _as_int(amount)
-                            variables[name] = result
-                            continue
-                current = _as_int(interp.get_var(name, op[2]))
-                result = interp.set_var(name, str(current + _as_int(amount)),
-                                        op[2])
-            except TclError as error:
-                _append_error_info(error, op[4].source)
-                raise
-        elif kind == OP_EXPR:
-            try:
-                result = _expr_eval(interp, frame, op[1])
-            except (TclError,) + interp.native_error_types as error:
-                raise _expr_error(error, op[3])
-        elif kind == OP_IF:
-            result = _op_if(interp, frame, op)
-        elif kind == OP_WHILE:
-            result = _op_while(interp, frame, op)
-        elif kind == OP_FOREACH:
-            result = _op_foreach(interp, frame, op)
-        elif kind == OP_FOR:
-            result = _op_for(interp, frame, op)
-        elif kind == OP_GENERIC:
-            result = op[1].execute(interp)
-        elif kind == OP_RETURN:
-            plan = op[1]
-            result = "" if plan is None else _resolve(interp, frame, plan)
-            interp._m_commands.value += 1
-            if code.proc_body:
-                return result
-            raise TclReturn(result)
-        elif kind == OP_BREAK:
-            raise TclBreak()
-        else:
-            raise TclContinue()
-    return result
-
-
-def _op_if(interp, frame, op):
-    try:
-        for ast, text, branch in op[1]:
-            if _cond(interp, frame, ast, text):
-                return _exec_body(interp, branch, frame)
-        else_code = op[2]
-        if else_code is not None:
-            return _exec_body(interp, else_code, frame)
-        return ""
-    except TclError as error:
-        _append_error_info(error, op[3].source)
-        raise
-    except interp.native_error_types as error:
-        converted = TclError(str(error))
-        _append_error_info(converted, op[3].source)
-        raise converted from error
-
-
-def _op_while(interp, frame, op):
-    ast, text, body = op[1], op[2], op[3]
-    try:
-        while _cond(interp, frame, ast, text):
-            try:
-                _exec_body(interp, body, frame)
-            except TclBreak:
-                break
-            except TclContinue:
-                continue
-        return ""
-    except TclError as error:
-        _append_error_info(error, op[4].source)
-        raise
-    except interp.native_error_types as error:
-        converted = TclError(str(error))
-        _append_error_info(converted, op[4].source)
-        raise converted from error
-
-
-def _op_for(interp, frame, op):
-    start, ast, text, nxt, body = op[1], op[2], op[3], op[4], op[5]
-    try:
-        _exec_body(interp, start, frame)
-        while _cond(interp, frame, ast, text):
-            try:
-                _exec_body(interp, body, frame)
-            except TclBreak:
-                break
-            except TclContinue:
-                pass
-            _exec_body(interp, nxt, frame)
-        return ""
-    except TclError as error:
-        _append_error_info(error, op[6].source)
-        raise
-    except interp.native_error_types as error:
-        converted = TclError(str(error))
-        _append_error_info(converted, op[6].source)
-        raise converted from error
-
-
-def _op_foreach(interp, frame, op):
-    targets, body = op[1], op[3]
-    # Substitution of the list word precedes the command proper in the
-    # tree walker, so its errors stay unwrapped.
-    list_text = _resolve(interp, frame, op[2])
-    interp._m_commands.value += 1
-    try:
-        values = parse_list(list_text)
-        n_names = len(targets)
-        n_values = len(values)
-        direct = interp._vm_direct
-        for chunk_start in range(0, n_values, n_names):
-            for offset in range(n_names):
-                ix, name = targets[offset]
-                position = chunk_start + offset
-                value = values[position] if position < n_values else ""
-                if ix is not None and direct:
-                    slots = frame.slots
-                    cell = slots[ix]
-                    if type(cell) is not dict and \
-                            type(cell) is not _SlotLink:
-                        slots[ix] = value
+                    try:
+                        result = interp.set_var(op[3], value)
+                    except TclError as error:
+                        _append_error_info(error, op[5].source)
+                        raise
+                    continue
+                elif kind == OP_INCR_SLOT:
+                    amount = op[4]
+                    if amount is _STACK:
+                        amount = stack.pop()
+                    elif type(amount) is not int:
+                        amount = _resolve_raw(interp, frame, amount)
+                    m_commands.value += 1
+                    try:
+                        if interp._vm_direct:
+                            slots = frame.slots
+                            cell = slots[op[2]]
+                            t = type(cell)
+                            if t is int:
+                                result = cell + _as_int(amount)
+                                slots[op[2]] = result
+                                continue
+                            if t is str or t is _Value or t is float:
+                                result = _as_int(cell) + _as_int(amount)
+                                slots[op[2]] = result
+                                continue
+                        current = _as_int(interp.get_var(op[3]))
+                        result = interp.set_var(
+                            op[3], str(current + _as_int(amount)))
+                    except TclError as error:
+                        _append_error_info(error, op[5].source)
+                        raise
+                    continue
+                elif kind == OP_NEXT:
+                    interp.depth -= 1
+                    if interp.depth >= _MAX_DEPTH:
+                        raise TclError(_TOO_DEEP)
+                    interp.depth += 1
+                    m_dispatches.value += op[2]
+                    result = ""
+                    continue
+                elif kind == OP_LEAVE:
+                    interp.depth -= 1
+                    if op[2] is not None:
+                        pc = op[2]
+                    continue
+                elif kind == OP_EXPR:
+                    m_commands.value += 1
+                    try:
+                        result = _expr_eval(interp, frame, op[2])
+                    except (TclError,) + interp.native_error_types \
+                            as error:
+                        raise _expr_error(error, op[4])
+                    continue
+                elif kind == OP_BINARY:
+                    right = stack.pop()
+                    stack[-1] = op[2].apply(stack[-1], right)
+                    continue
+                elif kind == OP_EXPR_END:
+                    result = stack.pop()
+                    continue
+                elif kind == OP_FOREACH_LOOP:
+                    interp.depth -= 1
+                    progress = stack[-1]
+                    values = progress[0]
+                    targets = op[2]
+                    position = progress[1] + len(targets)
+                    result = ""
+                    if position >= len(values):
+                        stack.pop()
                         continue
-                interp.set_var(name, value)
-                direct = interp._vm_direct
-            try:
-                _exec_body(interp, body, frame)
-            except TclBreak:
-                break
-            except TclContinue:
-                continue
-            direct = interp._vm_direct
-        return ""
-    except TclError as error:
-        _append_error_info(error, op[4].source)
-        raise
-    except interp.native_error_types as error:
-        converted = TclError(str(error))
-        _append_error_info(converted, op[4].source)
-        raise converted from error
-
-
-# ---------------------------------------------------------------------------
-# compilation
-# ---------------------------------------------------------------------------
-
-class _Builder:
-    """Compiles CompiledScript trees into Code objects.
-
-    One builder per top-level unit: nested bodies and ``[script]``
-    substitutions share the builder's ``specialized`` set and slot map
-    so the whole unit validates as one."""
-
-    def __init__(self, slot_map):
-        self.slot_map = slot_map
-        self.specialized = set()
-        self.count = 0
-
-    def build(self, compiled: CompiledScript) -> Code:
-        self.count += 1
-        ops = tuple(self._command(cmd) for cmd in compiled.commands)
-        return Code(ops, self.slot_map, self.specialized, compiled.source)
-
-    def sub(self, text: str) -> Code:
-        return self.build(compile_script(text))
-
-    def _command(self, cmd):
-        words = cmd.words
-        if not words or type(words[0]) is not str:
-            return (OP_GENERIC, cmd)
-        name = words[0]
-        handler = _SPECIALIZERS.get(name)
-        if handler is not None:
-            try:
-                op = handler(self, cmd)
-            except TclError:
-                # Anything statically malformed (bad expr syntax,
-                # unparsable sub-script, non-integer increment) takes
-                # the generic call path so the error is raised at run
-                # time, by the builtin, exactly as the tree does.
-                op = None
-            if op is not None:
-                self.specialized.add(name)
-                return op
-        if cmd.argv is not None:
-            const = [literal(arg) for arg in cmd.argv]
-            plans = None
-        else:
-            const = None
-            try:
-                plans = tuple(self._plan(word) for word in words)
-            except TclError:
-                # A [script] that does not parse: the tree path raises
-                # its error when the word is substituted.
-                return (OP_GENERIC, cmd)
-        return (OP_CALL, name, const, plans, [None, -1, None], cmd)
-
-    def _plan(self, word):
-        """A per-word resolution plan: a literal Value or a tagged tuple."""
-        if type(word) is str:
-            return literal(word)
-        steps = word.steps
-        if len(steps) == 1:
-            step = steps[0]
-            if type(step) is _VarStep:
-                return (_P_VAR, step.name, step.index)
-            if type(step) is _CmdStep:
-                return self._subst(step.script)
-        return (_P_WORD, word)
-
-    def _subst(self, script: str):
-        """The plan of one ``[script]``: nested code of this unit, or
-        the bare AST when the script is one specialized ``expr``."""
-        code = self.sub(script)
-        ops = code.ops
-        if len(ops) == 1 and ops[0][0] == OP_EXPR:
-            return (_P_EXPR, ops[0][1], code)
-        return (_P_CODE, code)
-
-    def _expr(self, text: str):
-        """The AST of an expression this unit specializes."""
-        return self._bind(compile_expr(text))
-
-    def _bind(self, node):
-        """``node`` with every ``[script]`` operand bound to a plan of
-        this unit.  Where anything binds, the result is a private copy:
-        the cached AST is shared process-wide and must never hold code
-        (whose ``valid`` stamp would keep an interpreter alive)."""
-        if type(node) is _CmdNode:
-            return _SubstNode(self._subst(node.script))
-        return node.map_children(self._bind)
-
-    def _slot(self, name: str) -> Optional[int]:
-        slot_map = self.slot_map
-        return slot_map.get(name) if slot_map is not None else None
-
-    def _spec_set(self, cmd):
-        words = cmd.words
-        if len(words) != 3 or type(words[1]) is not str:
-            return None
-        name, index = _split_var_name(words[1])
-        plan = self._plan(words[2])
-        if index is None:
-            ix = self._slot(name)
-            if ix is not None:
-                return (OP_SET_SLOT, ix, name, plan, cmd)
-        return (OP_SET_NAME, name, index, plan, cmd)
-
-    def _spec_incr(self, cmd):
-        words = cmd.words
-        if len(words) not in (2, 3) or type(words[1]) is not str:
-            return None
-        name, index = _split_var_name(words[1])
-        if len(words) == 2:
-            amount = 1
-        elif type(words[2]) is str:
-            amount = _to_int(words[2])      # TclError -> generic path
-        else:
-            amount = self._plan(words[2])
-        if index is None:
-            ix = self._slot(name)
-            if ix is not None:
-                return (OP_INCR_SLOT, ix, name, amount, cmd)
-        return (OP_INCR_NAME, name, index, amount, cmd)
-
-    def _spec_expr(self, cmd):
-        words = cmd.words
-        if len(words) < 2:
-            return None
-        for word in words[1:]:
-            if type(word) is not str:
-                return None
-        text = " ".join(words[1:])
-        return (OP_EXPR, self._expr(text), text, cmd)
-
-    def _spec_if(self, cmd):
-        argv = cmd.words
-        for word in argv:
-            if type(word) is not str:
-                return None
-        i = 1
-        branches = []
-        else_code = None
-        while True:
-            if i >= len(argv):
-                return None
-            condition = argv[i]
-            i += 1
-            if i < len(argv) and argv[i] == "then":
-                i += 1
-            if i >= len(argv):
-                return None
-            body = argv[i]
-            i += 1
-            branches.append((self._expr(condition), condition,
-                             self.sub(body)))
-            if i >= len(argv):
-                break
-            if argv[i] == "elseif":
-                i += 1
-                continue
-            if argv[i] == "else":
-                i += 1
-            if i >= len(argv) or i != len(argv) - 1:
-                return None
-            else_code = self.sub(argv[i])
+                    progress[1] = position
+                    try:
+                        _assign(interp, frame, targets, values, position)
+                    except TclError as error:
+                        _append_error_info(error, op[5].source)
+                        raise
+                    interp.depth += 1
+                    m_dispatches.value += op[4]
+                    pc = op[3]
+                    if not spaced:
+                        events += 1
+                        if events == 2 or not events % _PROBE_EVERY:
+                            now = _thread_faults()
+                            if events > 2 and \
+                                    now - faults >= _THRASH_FAULTS:
+                                state = (code, pc, stack, frame, base,
+                                         records, entry_depth, result)
+                                break
+                            faults = now
+                    continue
+                elif kind == OP_ENTER:
+                    if interp.depth >= _MAX_DEPTH:
+                        raise TclError(_TOO_DEEP)
+                    interp.depth += 1
+                    m_dispatches.value += op[2]
+                    result = ""
+                    continue
+                elif kind == OP_CALL_STACK:
+                    count = op[4]
+                    argv = op[3] + stack[-count:]
+                    del stack[-count:]
+                else:
+                    result = _step(kind, op, interp, frame, stack, result,
+                                   code, base)
+                    if type(result) is _Jump:
+                        pc = result.pc
+                        result = result.result
+                    continue
+                # OP_CALL and OP_CALL_STACK: invoke the command on argv.
+                cache = op[5]
+                if cache[0] is interp and cache[1] == interp.commands_epoch:
+                    target = cache[2]
+                    interp._m_vm_cache_hits.value += 1
+                else:
+                    target = interp.commands.get(op[2])
+                    if target is not None:
+                        cache[0] = interp
+                        cache[1] = interp.commands_epoch
+                        cache[2] = target
+                if target is None:
+                    # Unknown-command handling, never cached (the
+                    # handler may define the command).
+                    result = interp._invoke(argv, op[-1].source)
+                    continue
+                m_commands.value += 1
+                if type(target) is _Proc:
+                    try:
+                        callee, callee_frame = enter_proc(interp, target,
+                                                          argv)
+                    except TclError as error:
+                        _append_error_info(error, op[-1].source)
+                        raise
+                    if records:
+                        records.append((code, pc, stack, frame, base))
+                    else:
+                        records = [(code, pc, stack, frame, base)]
+                    code = callee
+                    ops = callee.ops
+                    pc = 0
+                    stack = []
+                    frame = callee_frame
+                    base = interp.depth
+                    m_dispatches.value += callee.ncmds
+                    result = ""
+                    if not spaced:
+                        events += 1
+                        if events == 2 or not events % _PROBE_EVERY:
+                            now = _thread_faults()
+                            if events > 2 and \
+                                    now - faults >= _THRASH_FAULTS:
+                                state = (code, pc, stack, frame, base,
+                                         records, entry_depth, result)
+                                break
+                            faults = now
+                    continue
+                try:
+                    r = target(interp, argv)
+                except TclError as error:
+                    _append_error_info(error, op[-1].source)
+                    raise
+                except interp.native_error_types as error:
+                    converted = TclError(str(error))
+                    _append_error_info(converted, op[-1].source)
+                    raise converted from error
+                result = r if r is not None else ""
+            # Only a respace trigger leaves the inner loop this way.
             break
-        return (OP_IF, tuple(branches), else_code, cmd)
-
-    def _spec_while(self, cmd):
-        words = cmd.words
-        if len(words) != 3 or type(words[1]) is not str or \
-                type(words[2]) is not str:
-            return None
-        return (OP_WHILE, self._expr(words[1]), words[1],
-                self.sub(words[2]), cmd)
-
-    def _spec_for(self, cmd):
-        words = cmd.words
-        if len(words) != 5:
-            return None
-        for word in words[1:]:
-            if type(word) is not str:
-                return None
-        return (OP_FOR, self.sub(words[1]), self._expr(words[2]),
-                words[2], self.sub(words[3]), self.sub(words[4]), cmd)
-
-    def _spec_foreach(self, cmd):
-        words = cmd.words
-        if len(words) != 4 or type(words[1]) is not str or \
-                type(words[3]) is not str:
-            return None
-        names = parse_list(words[1])
-        if not names:
-            return None
-        targets = tuple((self._slot(name), name) for name in names)
-        return (OP_FOREACH, targets, self._plan(words[2]),
-                self.sub(words[3]), cmd)
-
-    def _spec_return(self, cmd):
-        words = cmd.words
-        if len(words) == 1:
-            return (OP_RETURN, None, cmd)
-        if len(words) == 2:
-            return (OP_RETURN, self._plan(words[1]), cmd)
-        return None
-
-    def _spec_break(self, cmd):
-        return (OP_BREAK, cmd) if len(cmd.words) == 1 else None
-
-    def _spec_continue(self, cmd):
-        return (OP_CONTINUE, cmd) if len(cmd.words) == 1 else None
-
-
-_SPECIALIZERS = {
-    "set": _Builder._spec_set,
-    "incr": _Builder._spec_incr,
-    "expr": _Builder._spec_expr,
-    "if": _Builder._spec_if,
-    "while": _Builder._spec_while,
-    "for": _Builder._spec_for,
-    "foreach": _Builder._spec_foreach,
-    "return": _Builder._spec_return,
-    "break": _Builder._spec_break,
-    "continue": _Builder._spec_continue,
-}
+        except TclError as error:
+            _unwind(interp, error, code, pc, records, entry_depth)
+            raise
+        except (TclBreak, TclContinue) as flow:
+            is_break = type(flow) is TclBreak
+            target = code.contexts[pc - 1][1 if is_break else 2]
+            if target is not None:
+                pc = target[0]
+                interp.depth = base + target[1]
+                del stack[target[2]:]
+                result = ""
+                continue
+            if not records:
+                interp.depth = entry_depth
+                raise
+            # A proc body ends in break/continue: the call fails.
+            interp.frames.pop()
+            code, pc, stack, frame, base = records.pop()
+            error = TclError('invoked "%s" outside of a loop'
+                             % ("break" if is_break else "continue"))
+            _append_error_info(error, code.ops[pc - 1][-1].source)
+            _unwind(interp, error, code, pc, records, entry_depth)
+            raise error
+        except TclReturn as ret:
+            if not code.proc_body:
+                _abandon(interp, records, entry_depth)
+                raise
+            result = ret.value
+            if not records:
+                interp.depth = entry_depth
+                return result
+            interp.frames.pop()
+            interp.depth = base - 1
+            code, pc, stack, frame, base = records.pop()
+            ops = code.ops
+        except BaseException as error:
+            if isinstance(error, interp.native_error_types):
+                converted = TclError(str(error))
+                converted.__cause__ = error
+                _unwind(interp, converted, code, pc, records, entry_depth)
+                raise converted
+            _abandon(interp, records, entry_depth)
+            raise
+    interp._vm_spaced = True
+    try:
+        return _spaced(interp, state)
+    finally:
+        interp._vm_spaced = False
 
 
-def _split_var_name(name: str):
-    if name.endswith(")"):
-        open_paren = name.find("(")
-        if open_paren > 0:
-            return name[:open_paren], name[open_paren + 1:-1]
-    return name, None
+class _Jump:
+    """What a rare op (see :func:`_step`) returns when it moves the pc."""
+
+    __slots__ = ("pc", "result")
+
+    def __init__(self, pc: int, result):
+        self.pc = pc
+        self.result = result
 
 
-def code_for_script(interp, compiled: CompiledScript) -> Code:
-    """Compile a script-level unit (no local slots)."""
-    if _BUILTINS is None:
-        _lazy_init()
-    builder = _Builder(None)
-    code = builder.build(compiled)
-    interp._m_vm_compiles.value += builder.count
-    compiled.vm_code = code
-    return code
-
-
-def code_for_proc(interp, compiled: CompiledScript, proc) -> Code:
-    """Compile a procedure body with formals mapped to slot indexes."""
-    if _BUILTINS is None:
-        _lazy_init()
-    slot_map = {}
-    for position, formal in enumerate(proc.formals):
-        # A duplicated formal maps to its last position, matching the
-        # dict-binding path where later positions overwrite earlier.
-        slot_map[formal[0]] = position
-    builder = _Builder(slot_map)
-    code = builder.build(compiled)
-    code.proc_body = True
-    formals = proc.formals
-    if all(len(formal) == 1 for formal in formals) and \
-            (not formals or formals[-1][0] != "args"):
-        code.simple_arity = len(formals)
-    interp._m_vm_compiles.value += builder.count
-    return code
-
-
-# ---------------------------------------------------------------------------
-# disassembly (info disassemble)
-# ---------------------------------------------------------------------------
-
-def disassemble(code: Code) -> str:
-    """Human-readable bytecode listing for ``info disassemble``."""
-    lines: List[str] = []
-    if code.slot_map:
-        ordered = sorted(code.slot_map.items(), key=lambda item: item[1])
-        lines.append("slots: " + " ".join(
-            "%d=%s" % (ix, name) for name, ix in ordered))
-    _dis(code, lines, 0)
-    return "\n".join(lines)
-
-
-def _brief(text: str, limit: int = 40) -> str:
-    text = " ".join(str(text).split())
-    return text if len(text) <= limit else text[:limit - 3] + "..."
-
-
-def _dis(code: Code, lines: List[str], depth: int) -> None:
-    pad = "  " * depth
-    for position, op in enumerate(code.ops):
-        kind = op[0]
-        name = _MNEMONICS[kind]
-        prefix = "%s%3d %-10s" % (pad, position, name)
-        if kind == OP_CALL:
-            arity = len(op[2]) if op[2] is not None else len(op[3])
-            lines.append("%s %s/%d  {%s}" % (prefix, op[1], arity - 1,
-                                             _brief(op[5].source)))
-            _dis_substs(lines, depth, *(op[3] or ()))
-        elif kind == OP_SET_SLOT or kind == OP_INCR_SLOT:
-            lines.append("%s slot%d (%s) %s %s"
-                         % (prefix, op[1], op[2],
-                            "<-" if kind == OP_SET_SLOT else "+=",
-                            _brief_plan(op[3])))
-            _dis_substs(lines, depth, op[3])
-        elif kind == OP_SET_NAME or kind == OP_INCR_NAME:
-            lines.append("%s %s %s %s" % (
-                prefix, _display(op[1], op[2]),
-                "<-" if kind == OP_SET_NAME else "+=", _brief_plan(op[3])))
-            _dis_substs(lines, depth, op[3])
-        elif kind == OP_EXPR:
-            lines.append("%s {%s}" % (prefix, _brief(op[2])))
-            _dis_substs(lines, depth, op[1])
-        elif kind == OP_IF:
-            lines.append(prefix.rstrip())
-            for branch, (ast, text, body) in enumerate(op[1]):
-                lines.append("%s    cond[%d] {%s}"
-                             % (pad, branch, _brief(text)))
-                _dis_substs(lines, depth, ast)
-                _dis(body, lines, depth + 1)
-            if op[2] is not None:
-                lines.append("%s    else" % pad)
-                _dis(op[2], lines, depth + 1)
-        elif kind == OP_WHILE:
-            lines.append("%s {%s}" % (prefix, _brief(op[2])))
-            _dis_substs(lines, depth, op[1])
-            _dis(op[3], lines, depth + 1)
-        elif kind == OP_FOR:
-            lines.append("%s {%s}" % (prefix, _brief(op[3])))
-            _dis_substs(lines, depth, op[2])
-            lines.append("%s    start" % pad)
-            _dis(op[1], lines, depth + 1)
-            lines.append("%s    next" % pad)
-            _dis(op[4], lines, depth + 1)
-            lines.append("%s    body" % pad)
-            _dis(op[5], lines, depth + 1)
-        elif kind == OP_FOREACH:
-            names = " ".join(name for _ix, name in op[1])
-            lines.append("%s {%s} in %s"
-                         % (prefix, names, _brief_plan(op[2])))
-            _dis_substs(lines, depth, op[2])
-            _dis(op[3], lines, depth + 1)
-        elif kind == OP_RETURN:
-            lines.append("%s %s" % (
-                prefix, "" if op[1] is None else _brief_plan(op[1])))
-            _dis_substs(lines, depth, op[1])
-        elif kind == OP_GENERIC:
-            lines.append("%s {%s}" % (prefix, _brief(op[1].source)))
+def _step(kind, op, interp, frame, stack, result, code, base):
+    """The ops that the dispatch loop does not inline: expression
+    postfix ops, the rarer control ops and the generic fallback.  None
+    of them runs Tcl code except through a callout.  Returns the new
+    result, or a :class:`_Jump`."""
+    if kind == OP_PUSH:
+        if op[3]:
+            stack.append(_resolve_raw(interp, frame, op[2]))
         else:
-            lines.append(prefix.rstrip())
-
-
-def _dis_substs(lines: List[str], depth: int, *items) -> None:
-    """List the nested ``[script]`` codes of an op's plans and
-    expressions, each under a ``[script]`` label, one level deeper."""
-    pad = "  " * depth
-    for item in items:
-        for sub in _subcodes(item):
-            lines.append("%s    [%s]" % (pad, _brief(sub.source)))
-            _dis(sub, lines, depth + 1)
-
-
-def _subcodes(item) -> List[Code]:
-    """The nested codes a plan or expression AST runs, in source order
-    (an in-place ``[expr]`` contributes those of its own AST)."""
-    t = type(item)
-    if t is tuple:
-        if item[0] == _P_CODE:
-            return [item[1]]
-        return _subcodes(item[1]) if item[0] == _P_EXPR else []
-    if t is _SubstNode:
-        return _subcodes(item.plan)
-    codes: List[Code] = []
-    if isinstance(item, _Node):
-        for child in item.children():
-            codes += _subcodes(child)
-    return codes
-
-
-def _display(name: str, index) -> str:
-    return name if index is None else "%s(%s)" % (name, index)
-
-
-def _brief_plan(plan) -> str:
-    t = type(plan)
-    if t is int:
-        return str(plan)
-    if t is str or t is _Value:
-        return "{%s}" % _brief(plan)
-    kind = plan[0]
-    if kind == _P_VAR:
-        index = plan[2]
-        if index is None:
-            return "$%s" % plan[1]
-        if type(index) is str:
-            return "$%s(%s)" % (plan[1], index)
-        return "$%s(...)" % plan[1]
-    if kind == _P_CODE:
-        return "[%s]" % _brief(plan[1].source)
-    if kind == _P_EXPR:
-        return "[expr {%s}]" % _brief(plan[2].ops[0][2])
-    return "<word>"
+            stack.append(_resolve(interp, frame, op[2]))
+        return result
+    if kind == OP_EVAL:
+        stack.append(_expr_eval(interp, frame, op[2]))
+        return result
+    if kind == OP_CONST:
+        stack.append(op[2])
+        return result
+    if kind == OP_TEST:
+        if _cond_value(stack.pop(), op[2]):
+            if interp.depth >= _MAX_DEPTH:
+                raise TclError(_TOO_DEEP)
+            interp.depth += 1
+            interp._m_vm_dispatches.value += op[4]
+            return ""
+        return _Jump(op[3], "")
+    if kind == OP_JUMP:
+        return _Jump(op[2], result)
+    if kind == OP_JUMP_TRUTH:
+        if truth(stack.pop()) == op[3]:
+            return _Jump(op[2], result)
+        return result
+    if kind == OP_TRUTH:
+        stack[-1] = 1 if truth(stack[-1]) else 0
+        return result
+    if kind == OP_UNARY:
+        stack[-1] = _unary(op[2], stack[-1])
+        return result
+    if kind == OP_FUNC:
+        count = op[3]
+        arguments = stack[-count:]
+        del stack[-count:]
+        stack.append(_call_math_function(op[2], arguments))
+        return result
+    if kind == OP_DRY:
+        for var in op[2]:
+            interp.value_of(var)
+        return result
+    if kind == OP_PUSH_VAR_IX:
+        stack[-1] = interp.get_var(op[2], stack[-1])
+        return result
+    if kind == OP_CONCAT:
+        template = op[2]
+        count = sum(1 for piece in template if piece is None)
+        pieces = iter(stack[-count:])
+        del stack[-count:]
+        stack.append("".join(next(pieces) if piece is None else piece
+                             for piece in template))
+        return result
+    if kind == OP_POP:
+        stack.pop()
+        return result
+    if kind == OP_FOREACH:
+        plan = op[3]
+        list_text = stack.pop() if plan is _STACK \
+            else _resolve(interp, frame, plan)
+        interp._m_commands.value += 1
+        try:
+            values = parse_list(list_text)
+            if not values:
+                return _Jump(op[4], "")
+            _assign(interp, frame, op[2], values, 0)
+            if interp.depth >= _MAX_DEPTH:
+                raise TclError(_TOO_DEEP)
+        except TclError as error:
+            _append_error_info(error, op[6].source)
+            raise
+        stack.append([values, 0])
+        interp.depth += 1
+        interp._m_vm_dispatches.value += op[5]
+        return ""
+    if kind == OP_BREAK or kind == OP_CONTINUE:
+        interp._m_commands.value += 1
+        target = op[2]
+        if target is None:
+            raise TclBreak() if kind == OP_BREAK else TclContinue()
+        interp.depth = base + target[1]
+        del stack[target[2]:]
+        return _Jump(target[0], "")
+    if kind == OP_GENERIC:
+        return op[2].execute(interp)
+    # OP_NOP: its start record did the work.
+    return result

@@ -166,14 +166,30 @@ class TestDisassemble:
         # An in-place [expr] is shown inline and has no ops of its own.
         assert listing[0].split() == [
             "0", "SET_NAME", "y", "<-", "[expr", "{$x", "*", "2}]"]
-        assert listing[1].split()[:2] == ["1", "SET_NAME"]
-        # Each nested [script] lists its ops one level deeper, under a
-        # label naming it.
-        assert listing[2:] == [
-            "    [llength [lrange $x 0 1]]",
-            "    0 CALL       llength/1  {llength [lrange $x 0 1]}",
-            "      [lrange $x 0 1]",
-            "      0 CALL       lrange/3  {lrange $x 0 1}",
+        # Every other [script] is lowered into the unit: a SUBST op
+        # names it and shows the pc after its ops, which follow one
+        # level deeper; PUSH_RESULT leaves the value on the operand
+        # stack for the command that uses it.
+        assert listing[1:] == [
+            "  1 SUBST      [llength [lrange $x 0 1]] -> 7",
+            "    2 SUBST      [lrange $x 0 1] -> 5",
+            "      3 CALL       lrange/3  {lrange $x 0 1}",
+            "      4 PUSH_RESULT",
+            "    5 CALL       llength/1  {llength [lrange $x 0 1]}",
+            "    6 PUSH_RESULT",
+            "  7 SET_NAME   z <- <stack>",
+            "  8 END",
+        ]
+
+    def test_control_flow_lists_its_jump_targets(self, interp):
+        listing = interp.eval(
+            "info disassemble {set a 1\nwhile {$a < 3} {incr a}}")
+        assert listing.split("\n") == [
+            "  0 SET_NAME   a <- {1}",
+            "  1 WHILE      {$a < 3} else -> 4",
+            "    2 INCR_NAME  a += 1",
+            "  3 LOOP       {$a < 3} -> 2",
+            "  4 END",
         ]
 
     def test_unknown_proc_falls_back_to_script(self, interp):

@@ -1,20 +1,23 @@
 """Command substitution compiled into the enclosing bytecode unit.
 
-The VM compiles each ``[script]`` word, and each ``[script]`` operand
-of a specialized expression, into the unit that uses it, and runs it
-in its own dispatch loop instead of re-entering ``Interp.eval``.  That
-is a pure CPU optimisation, so this file holds it to the tree walker
+The VM lowers each ``[script]`` word, and each ``[script]`` operand
+of a specialized expression, into the unit that uses it, and runs it,
+like procedure calls and loop bodies, in the unit's one dispatch loop
+instead of re-entering ``Interp.eval``.  That is a pure CPU
+optimisation, so this file holds it to the tree walker
 (``Interp(bytecode_enabled=False)``): a seeded generator builds
 hundreds of scripts of nested substitutions, and every observable —
 result or error message, ``errorInfo``, ``info cmdcount`` and the
 final variables — must match.  The four invariants the optimisation
 must keep (validity, depth, values, counters) each get a test of their
-own, and a leak check makes sure no nested code keeps a dead
-interpreter alive.
+own, the Python stack is checked to stay flat as Tcl recursion deepens,
+and a leak check makes sure no compiled code keeps a dead interpreter
+alive.
 """
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -43,6 +46,7 @@ set a 3
 set b 7
 set c -2
 set l {}
+array set arr {0 zero 1 one 2 two x ex}
 """
 
 VARIABLES = ("a", "b", "c")
@@ -77,6 +81,10 @@ class ScriptGenerator:
         if choice == 2:
             return rng.choice(("1.5", "2.0", "0.25", "10"))
         if choice == 3:
+            if depth > 0 and rng.randrange(2):
+                # A quoted operand that runs a [script].
+                return '"%s[%s]"' % (rng.choice(("", "1", "$a")),
+                                     self.command(depth - 1, {}))
             return '"%s"' % rng.choice(("abc", "3", "x y"))
         if choice == 4:
             return "[%s]" % self.command(depth - 1, {})
@@ -98,7 +106,7 @@ class ScriptGenerator:
 
     def word(self, depth: int, ctx: dict) -> str:
         rng = self.rng
-        choice = rng.randrange(6 if depth > 0 else 3)
+        choice = rng.randrange(7 if depth > 0 else 3)
         if choice == 0:
             return str(rng.randrange(0, 5))
         if choice == 1:
@@ -108,7 +116,13 @@ class ScriptGenerator:
         if choice == 3:
             return "[expr {%s}]" % self.expr(depth)
         if choice == 4:
-            return '"<[%s]>"' % self.command(depth - 1, ctx)
+            # A word that mixes [script] with text.
+            shape = rng.choice(('"<[%s]>"', "a[%s]$b",
+                                '"[%s]$arr([llength $l])"'))
+            return shape % self.command(depth - 1, ctx)
+        if choice == 5:
+            # An array index that runs a [script].
+            return "$arr([%s])" % self.command(depth - 1, ctx)
         return "[%s]" % self.command(depth - 1, ctx)
 
     def command(self, depth: int, ctx: dict) -> str:
@@ -214,7 +228,8 @@ def test_generator_covers_the_shapes():
     corpus = "\n".join(ScriptGenerator(seed).script() for seed in SEEDS)
     for shape in ("[expr {", "while {$i", "for {set i",
                   "if {", "[break]", "[continue]", "[return", "catch {",
-                  "[f ", "? ", "&& ", "|| "):
+                  "[f ", "? ", "&& ", "|| ", '"<[', "a[", "$arr([",
+                  '"[', '"1[', '"$a['):
         assert shape in corpus, shape
     outcomes = [run_tier(ScriptGenerator(seed).script(), True)["outcome"][0]
                 for seed in SEEDS[:80]]
@@ -227,6 +242,10 @@ def test_generator_covers_the_shapes():
 
 TIERS = pytest.mark.parametrize("bytecode", [True, False],
                                 ids=["vm", "tree"])
+
+ALL_TIERS = pytest.mark.parametrize(
+    "options", [{}, {"bytecode_enabled": False}, {"compile_enabled": False}],
+    ids=["vm", "tree", "nocompile"])
 
 
 @TIERS
@@ -318,6 +337,63 @@ def test_depth_runaway_recursion_stops_at_the_same_level(bytecode, shape):
     with pytest.raises(TclError, match="too many nested calls"):
         interp.eval("f 0")
     assert interp.eval("set deepest") == str(level)
+
+
+def python_depth() -> int:
+    """Python frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("shape", list(DEPTH_SHAPES))
+def test_depth_vm_recursion_needs_no_python_stack(shape):
+    # The VM runs calls, substitutions and bodies in one dispatch loop,
+    # so the runaway recursions reach the same Tcl level with Python's
+    # recursion limit barely above the caller's own depth.
+    body, level = DEPTH_SHAPES[shape]
+    interp = Interp()
+    interp.eval(body)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(python_depth() + 200)
+    try:
+        with pytest.raises(TclError, match="too many nested calls"):
+            interp.eval("f 0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert interp.eval("set deepest") == str(level)
+
+
+@TIERS
+def test_depth_python_stack_is_flat_in_the_vm(bytecode):
+    # A Python command probes the Python stack at the bottom of a
+    # recursion that goes through [expr {[f ...]}] and through if and
+    # while bodies, at Tcl depth 7 and at Tcl depth 502.
+    interp = Interp(bytecode_enabled=bytecode)
+    # A run that page-faults may move once to a fresh stack chunk (two
+    # more frames at its base, see vm.run); mark the loop as already
+    # moved so the count does not depend on the host's page faults.
+    interp._vm_spaced = True
+    probes = []
+    interp.register("probe", lambda interp, argv:
+                    probes.append((interp.depth, python_depth())))
+    interp.eval("proc f {n} {\n"
+                " if {$n > 0} {\n"
+                "  while 1 {return [expr {[f [expr {$n - 1}]] + 1}]}\n"
+                " }\n"
+                " probe\n"
+                " return 0\n"
+                "}")
+    assert interp.eval("f 1") == "1"
+    assert interp.eval("f 100") == "100"
+    (shallow, shallow_frames), (deep, deep_frames) = probes
+    assert (shallow, deep) == (7, 502)
+    if bytecode:
+        assert deep_frames == shallow_frames
+    else:
+        # The tree walker recurses in Python; the probe can tell.
+        assert deep_frames > shallow_frames + 1000
 
 
 @TIERS
@@ -434,6 +510,22 @@ def test_flow_control_crosses_substitutions(bytecode):
     with pytest.raises(TclError, match="missing close-bracket|"
                                        "missing"):
         interp.eval("proc bad {} {set x [set y {]}\nbad")
+
+
+@ALL_TIERS
+def test_flow_control_break_in_for_next_script_ends_the_loop(options):
+    # Tcl_ForCmd: ``break`` in the next script ends the loop normally
+    # (code 0, result ""); ``continue`` there propagates.
+    interp = Interp(**options)
+    assert interp.eval(
+        "catch {for {set i 0} {$i < 5} {incr i; break} {}} r") == "0"
+    assert interp.eval("list $r $i") == "{} 1"
+    assert interp.eval(
+        "catch {for {set i 0} {$i < 5} {incr i; continue} {}}") == "4"
+    assert interp.eval(
+        "set out {}\nforeach x {1 2} {\n"
+        " for {set i 0} {$i < 5} {incr i; continue} {lappend out $x$i}\n"
+        "}\nset out") == "10 20"
 
 
 def test_leak_nested_code_keeps_no_interpreter_alive():
