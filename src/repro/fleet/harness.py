@@ -188,6 +188,9 @@ class FleetSession(Session):
             "x11.requests", type="batch")
         self.plan: Optional[FaultPlan] = None
         self._cursor = 0
+        #: the shared clock when this session launched and when it last
+        #: ran (read only by recording sessions)
+        self._clock_base = self._clock_seen = 0
         self.finished = False
 
     # -- lifecycle -----------------------------------------------------
@@ -195,6 +198,7 @@ class FleetSession(Session):
     def launch(self) -> None:
         """Install the fault plan / recording journal, build the app."""
         spec = self.spec
+        self._clock_base = self.server.time_ms
         if spec.record_path is not None:
             plan = (FaultPlan.from_spec(spec.fault_spec)
                     if spec.fault_spec else None)
@@ -211,6 +215,7 @@ class FleetSession(Session):
         # A fault plan can kill construction; the session then runs
         # its steps app-less, exactly as record_session does.
         self.start(spec.name, spec.setup_script)
+        self._clock_seen = self.server.time_ms
 
     def step(self) -> bool:
         """Run this session's next unit of work; False when idle.
@@ -230,7 +235,19 @@ class FleetSession(Session):
             return False
         kind, args = self.spec.steps[self._cursor]
         self._cursor += 1
+        if self.journal is not None and \
+                self.server.time_ms != self._clock_seen:
+            # Other cells moved the shared clock since this session last
+            # ran.  To the session that jump is an input, like a
+            # blocking wait's: journal it, so a standalone replay
+            # releases fault-held events and fires timers at the same
+            # points of its input stream.  A replay's clock starts at 0
+            # where this one started at launch, so the target is
+            # relative to the launch.
+            self.apply("advance",
+                       [self.server.time_ms - self._clock_base])
         self.run_input(kind, args)
+        self._clock_seen = self.server.time_ms
         return True
 
     def run_input(self, kind: str, args: list) -> None:

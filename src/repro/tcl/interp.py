@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Union
 from . import parser
 from ..obs import Observability
 from .compile import CompiledScript, _append_error_info, compile_script
-from .errors import (TclBreak, TclContinue, TclError, TclReturn)
+from .errors import (TclBreak, TclContinue, TclError, TclReturn,
+                     _FlowControl)
 from .lists import format_list, parse_list
 from .value import (SlotLink as _SlotLink, UNSET as _UNSET, Value as _Value,
                     to_str as _to_value_str)
@@ -364,6 +365,11 @@ class Interp:
         This is what event bindings and the main program use: any error
         unwinds to here, where the accumulated trace is stored in the
         global ``errorInfo`` variable before the error is re-raised.
+        When no evaluation is in progress (Tcl's ``numLevels == 0``) a
+        stray ``return``, ``break`` or ``continue`` ends here too (see
+        :meth:`_stray_flow`); inside a running evaluation it propagates,
+        so a widget ``-command`` invoked from a loop body can still
+        break that loop.
         """
         if self._trace_on:
             tracer = self._tracer
@@ -371,17 +377,34 @@ class Interp:
                 if isinstance(script, CompiledScript) else script
             span = tracer.begin("eval", _span_name(source))
             try:
-                return self.eval(script)
-            except TclError as error:
-                self.set_global_var("errorInfo", _error_info(error))
-                raise
+                return self._eval_top(script)
             finally:
                 tracer.finish(span)
+        return self._eval_top(script)
+
+    def _eval_top(self, script: Union[str, CompiledScript]) -> str:
         try:
             return self.eval(script)
         except TclError as error:
             self.set_global_var("errorInfo", _error_info(error))
             raise
+        except _FlowControl as flow:
+            if self.depth:
+                raise
+            return self._stray_flow(flow)
+
+    def _stray_flow(self, flow: _FlowControl) -> str:
+        """Settle a ``return``, ``break`` or ``continue`` that reached
+        the top of a script: ``return`` completes normally with its
+        value; ``break`` and ``continue`` become errors, with errorInfo
+        recorded, as in Tcl."""
+        if isinstance(flow, TclReturn):
+            return flow.value
+        error = TclError('invoked "%s" outside of a loop'
+                         % ("break" if isinstance(flow, TclBreak)
+                            else "continue"))
+        self.set_global_var("errorInfo", _error_info(error))
+        raise error
 
     def eval_global(self, script: Union[str, CompiledScript]) -> str:
         """Evaluate at global variable scope (like ``uplevel #0``).
@@ -397,6 +420,17 @@ class Interp:
         finally:
             self.frames = saved
 
+    def eval_detached(self, script: Union[str, CompiledScript]) -> str:
+        """:meth:`eval_global` for a script that is not part of the
+        evaluation in progress: a timer or binding handler, a sent
+        command.  A stray ``return``, ``break`` or ``continue`` ends at
+        the top of the script even when it runs from ``update`` inside
+        a loop body."""
+        try:
+            return self.eval_global(script)
+        except _FlowControl as flow:
+            return self._stray_flow(flow)
+
     def eval_background(self, script: Union[str, CompiledScript]) -> str:
         """Evaluate a *background* script (binding/timer/callback).
 
@@ -407,7 +441,7 @@ class Interp:
         without a handler the error propagates as usual.
         """
         try:
-            return self.eval_global(script)
+            return self.eval_detached(script)
         except TclError as error:
             handler = None
             for candidate in ("bgerror", "tkerror"):

@@ -18,8 +18,9 @@ the paper's replacement for monolithic applications.
 
 Crash safety (as in real Tk): the registry is *advisory* — an
 application that dies without unregistering leaves a stale entry
-behind, so every lookup scrubs entries whose comm window no longer
-exists; a target that dies while a send is outstanding produces a
+behind, so a failed lookup and ``winfo interps`` scrub entries whose
+comm window no longer exists (a successful send probes only its
+target); a target that dies while a send is outstanding produces a
 clean ``target application died`` error in bounded time rather than a
 hang; a Python-level failure inside a sent script is returned to the
 sender as an error reply instead of killing the target's event loop;
@@ -42,14 +43,17 @@ _COMM_PROPERTY = "Comm"
 
 #: Virtual-millisecond budget for one send round trip.  The server
 #: clock advances on every request (including the liveness probes the
-#: wait loop issues), so this bounds the wait in *rounds* as well.
+#: wait loop issues once it has run long), so this bounds the wait in
+#: *rounds* as well.
 _DEFAULT_TIMEOUT_MS = 2000
 
 #: Consecutive pump rounds with no progress anywhere in the system
 #: before a send gives up early.  In the simulator a fully idle system
 #: can never produce a reply, so there is no point burning the whole
 #: timeout budget — unless the fault plan is still holding delayed
-#: events, in which case the wait continues until the deadline.
+#: events, in which case the wait continues until the deadline.  It is
+#: also the number of busy rounds a wait runs before it probes the
+#: target on every round (see ``_wait_for_result``).
 _IDLE_GRACE_ROUNDS = 25
 
 _serials = itertools.count(1)
@@ -209,11 +213,10 @@ class SendManager:
 
     def _send(self, target_name: str, script: str,
               wait: bool = True) -> str:
-        registry = self._scrubbed_registry()
+        registry = self._read_registry()
         target_window = registry.get(target_name)
-        if target_window is None:
-            raise TclError(
-                'no registered interpreter named "%s"' % target_name)
+        if target_window is None or not self._window_alive(target_window):
+            raise self._lookup_failed(registry, target_name)
         serial = next(_serials)
         reply_window = self.comm_window if wait else 0
         request = format_list(["cmd", str(serial), str(reply_window),
@@ -226,48 +229,78 @@ class SendManager:
                 target_window, self.comm_atom, self.string_atom,
                 [request], append=True)
         except XProtocolError:
-            # The comm window vanished between the scrub and the write.
-            registry.pop(target_name, None)
-            self._write_registry(registry)
-            raise TclError(
-                'no registered interpreter named "%s"' % target_name)
+            # The comm window vanished between the probe and the write.
+            raise self._lookup_failed(registry, target_name)
         if not wait:
             return ""
         return self._wait_for_result(serial, target_name, target_window)
 
+    def _lookup_failed(self, registry: Dict[str, int],
+                       target_name: str) -> TclError:
+        """Drop the target and scrub the rest of the registry, as real
+        Tk does after a failed send; return the error to raise."""
+        dropped = registry.pop(target_name, None) is not None
+        registry, changed = self._scrub(registry)
+        if dropped or changed:
+            self._write_registry(registry)
+        return TclError(
+            'no registered interpreter named "%s"' % target_name)
+
     def _wait_for_result(self, serial: int, target_name: str,
                          target_window: int) -> str:
+        """Pump every application until the reply to ``serial`` arrives.
+
+        The target is probed only when the answer could change what
+        happens next: after a round in which nothing ran (the reply
+        cannot come from a quiet system, but a dead target explains the
+        quiet), at the deadline (to tell a dead target from a slow one),
+        and on every round once the wait has run more than
+        ``idle_grace`` rounds.  The last rule bounds the wait when a
+        third application keeps the system busy without issuing
+        requests (``after 0`` re-armed forever): such a system never
+        idles and the virtual clock only advances through the probes.
+        """
         from .app import pump_all
         server = self.app.server
         deadline = server.time_ms + self.timeout_ms
-        idle_rounds = 0
+        rounds = idle_rounds = 0
         self._waiting += 1
         try:
             while True:
                 if serial in self._results:
                     return self._claim(serial, target_name)
-                if not self._window_alive(target_window):
-                    raise TclError("target application died")
                 if server.time_ms >= deadline:
+                    if not self._window_alive(target_window):
+                        raise TclError("target application died")
                     raise TclError(
                         'send to "%s" timed out' % target_name)
                 # Pumping is reentrant: events delivered here may start
                 # nested sends (A→B→A), which wait on their own serials
                 # through this same loop one frame deeper.
-                if pump_all(server, max_rounds=1):
+                busy = pump_all(server, max_rounds=1)
+                rounds += 1
+                if serial in self._results:
+                    continue
+                # Counted before the probe and the idle tick, either of
+                # which may release a held event: the next round must
+                # pump it before the wait gives up on it.
+                plan = server.fault_plan
+                held = plan.held_count() if plan is not None else 0
+                if (not busy or rounds > self.idle_grace) and \
+                        not self._window_alive(target_window):
+                    raise TclError("target application died")
+                if busy:
                     idle_rounds = 0
                     continue
                 idle_rounds += 1
-                # Nothing runnable anywhere.  Advance the virtual clock
-                # so delayed (fault-held) events get released and the
-                # deadline can expire; give up early if nothing is even
-                # pending release.
-                server.idle_tick()
-                plan = server.fault_plan
-                held = plan.held_count() if plan is not None else 0
+                # Nothing runnable anywhere.  Give up early if nothing
+                # is even pending release; otherwise advance the virtual
+                # clock so delayed (fault-held) events get released and
+                # the deadline can expire.
                 if held == 0 and idle_rounds > self.idle_grace:
                     raise TclError(
                         'send to "%s" timed out' % target_name)
+                server.idle_tick()
         finally:
             self._waiting -= 1
 
@@ -328,7 +361,7 @@ class SendManager:
     def _execute(self, serial: str, reply_window: int, script: str) -> None:
         interp = self.app.interp
         try:
-            result = interp.eval_global(script)
+            result = interp.eval_detached(script)
             code, error_info = "0", ""
         except TclError as error:
             result = error.message
@@ -348,5 +381,9 @@ class SendManager:
             self.app.display.change_property(
                 reply_window, self.comm_atom, self.string_atom,
                 [reply], append=True)
+            # Deliver the reply now, as _register does the registry:
+            # the sender's next pump round then finds its PropertyNotify
+            # instead of idling into a liveness probe.
+            self.app.display.flush()
         except Exception:
             pass  # sender disappeared; nothing to reply to

@@ -2,6 +2,7 @@
 shared display."""
 
 import io
+import itertools
 
 import pytest
 
@@ -116,3 +117,99 @@ class TestThreeApps:
             app.interp.eval("send worker%d set assigned task-%d" % (n, n))
         for n, worker in enumerate(workers):
             assert worker.interp.eval("set assigned") == "task-%d" % n
+
+
+# ----------------------------------------------------------------------
+# traffic pins: a live send costs the protocol's own hops only
+# ----------------------------------------------------------------------
+
+#: registry read, target probe, request append, the receiver's read,
+#: reply append, the sender's read
+SEND_REQUESTS = ["get_property", "window_exists",
+                 "batch", "change_property",
+                 "get_property",
+                 "batch", "change_property",
+                 "get_property"]
+
+#: ``send -async``: the lookup and the append, nothing else
+ASYNC_REQUESTS = ["get_property", "window_exists",
+                  "batch", "change_property"]
+
+
+def _send_traffic(n_apps, transport, script):
+    """(request names, round trips, bytes out, bytes in) of one send
+    from "test" to "peer" with ``n_apps`` registered applications."""
+    from repro.obs.journal import Journal
+    from repro.tk import send as send_module
+    from repro.x11 import XServer
+    from repro.x11.transport import shutdown_host
+
+    # Serials are process-wide and their digits cross the wire: start
+    # every measurement from the same one so byte counts compare.
+    saved_serials = send_module._serials
+    send_module._serials = itertools.count(1)
+    server = XServer()
+    apps = []
+    try:
+        names = ["test", "peer"] + ["extra%d" % n
+                                    for n in range(n_apps - 2)]
+        for name in names:
+            application = TkApp(server, name=name, transport=transport)
+            application.interp.stdout = io.StringIO()
+            apps.append(application)
+        sender = apps[0]
+        sender.interp.eval("send peer {set warm 1}")
+        for application in apps:
+            application.update()
+        metrics = server.obs.metrics
+        journal = server.attach_journal(
+            Journal(clock=lambda: server.time_ms))
+
+        def counts():
+            return (server.round_trips,
+                    metrics.total("x11.wire.bytes_out"),
+                    metrics.total("x11.wire.bytes_in"))
+
+        before = counts()
+        sender.interp.eval(script)
+        sender.display.flush()      # an async append may still be queued
+        after = counts()
+        names = [entry["name"] for entry in journal.entries()
+                 if entry["k"] == "req"]
+        return (names,) + tuple(new - old
+                                for new, old in zip(after, before))
+    finally:
+        for application in apps:
+            application.destroy()
+        shutdown_host(server)
+        send_module._serials = saved_serials
+
+
+class TestSendTraffic:
+    """A live send makes only the protocol's own server hops: 8
+    requests and 4 round trips, whatever the registry size or the
+    transport.  Liveness probes of other entries belong to failed
+    lookups and ``winfo interps``."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "socket"])
+    @pytest.mark.parametrize("n_apps", [2, 6])
+    def test_send_costs_eight_requests_four_round_trips(
+            self, n_apps, transport):
+        names, round_trips, _, _ = _send_traffic(
+            n_apps, transport, "send peer {set x 1}")
+        assert names == SEND_REQUESTS
+        assert round_trips == 4
+
+    @pytest.mark.parametrize("n_apps", [2, 6])
+    def test_transports_carry_identical_traffic(self, n_apps):
+        script = "send peer {set x 1}"
+        assert _send_traffic(n_apps, "loopback", script) == \
+            _send_traffic(n_apps, "socket", script)
+
+    @pytest.mark.parametrize("transport", ["loopback", "socket"])
+    @pytest.mark.parametrize("n_apps", [2, 6])
+    def test_async_send_costs_lookup_and_append(self, n_apps, transport):
+        names, round_trips, _, _ = _send_traffic(
+            n_apps, transport, "send -async peer {set x 1}")
+        assert names == ASYNC_REQUESTS
+        assert round_trips == 2

@@ -53,6 +53,23 @@ class TestUnknownAndDeadTargets:
         app.update()
         assert app.interp.eval("set alive") == "1"
 
+    def test_target_dies_mid_send_while_a_third_app_spins(
+            self, app, second_app, server):
+        """A third application that re-arms ``after 0`` forever keeps
+        the system busy without issuing a request, so neither idle
+        detection nor the virtual clock can end the wait; the per-round
+        probe after ``idle_grace`` rounds still does."""
+        spinner = TkApp(server, name="spinner")
+        spinner.interp.stdout = io.StringIO()
+        spinner.interp.eval("proc spin {} {after 0 spin}; spin")
+        plan = server.install_fault_plan(FaultPlan())
+        plan.call_on_request(lambda srv: second_app.destroy(),
+                             name="get_property", after=1)
+        start = server.time_ms
+        with pytest.raises(TclError, match="target application died"):
+            app.interp.eval("send peer set x 1")
+        assert server.time_ms - start < 50
+
     def test_registry_scrubbed_by_winfo_interps(self, app, second_app):
         second_app.display.close()      # crash-like exit
         names = app.interp.eval("winfo interps")
@@ -104,6 +121,20 @@ class TestLostAndLateMessages:
         second_app.interp.eval("set remote 99")
         assert app.interp.eval("send peer set remote") == "99"
         assert plan.counters["delay"] == 1
+
+
+    @pytest.mark.parametrize("delay_ms", [149, 150])
+    def test_delay_longer_than_idle_grace_still_completes(
+            self, app, second_app, server, delay_ms):
+        """The wait idles past ``idle_grace`` rounds while the request
+        is held; the round whose clock tick releases it must pump it,
+        not give up because nothing is held any more.  Both parities of
+        the release tick (a probe's or an idle tick) are covered."""
+        plan = server.install_fault_plan(FaultPlan())
+        plan.delay_events(1, delay_ms=delay_ms,
+                          event_type=ev.PROPERTY_NOTIFY)
+        second_app.interp.eval("set remote 99")
+        assert app.interp.eval("send peer set remote") == "99"
 
 
 class TestErrorPropagation:
