@@ -40,10 +40,11 @@ PHASES = ("client", "queue", "wire", "handle", "reply")
 def build_forest(spans: List[dict]) -> List[dict]:
     """Rebuild the nested span forest from flat ``to_dict`` entries.
 
-    Same policy as :meth:`repro.obs.trace.Tracer.tree`: children whose
-    parent fell off the ring are re-rooted, marked ``orphaned`` for
-    local spans and ``parent_evicted`` (explicit parent id kept) for
-    cross-boundary ``link="wire"`` spans.
+    Roots and children come in start order.  Children whose parent fell
+    off the ring are re-rooted, marked ``orphaned`` for local spans and
+    ``parent_evicted`` (explicit parent id kept) for cross-boundary
+    ``link="wire"`` spans.  :meth:`repro.obs.trace.Tracer.tree` is this
+    over the live ring.
     """
     nodes: Dict[int, dict] = {}
     roots: List[dict] = []
@@ -59,6 +60,8 @@ def build_forest(spans: List[dict]) -> List[dict]:
         else:
             if span.get("parent") is not None:
                 if span.get("link") == "wire":
+                    # ids are never reused while rings are non-empty,
+                    # so the kept parent id cannot alias another span
                     node["parent_evicted"] = True
                 else:
                     node["orphaned"] = True

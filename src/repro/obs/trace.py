@@ -41,6 +41,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+from .report import build_forest
+
 #: Tracers currently started; consulted by the X server's hot paths.
 _ACTIVE: List["Tracer"] = []
 
@@ -283,36 +285,7 @@ class Tracer:
         dropped, and marked ``orphaned`` so a reader can tell a true
         root from a child whose ancestry fell off the ring.
         """
-        nodes = {}
-        roots = []
-        for span in self.spans:
-            node = span.to_dict()
-            node["children"] = []
-            nodes[span.id] = node
-        for span in self.spans:
-            node = nodes[span.id]
-            parent = nodes.get(span.parent_id)
-            if parent is not None:
-                parent["children"].append(node)
-            else:
-                if span.parent_id is not None:
-                    if span.link == "wire":
-                        # Cross-boundary spans keep their explicit
-                        # parent id (``parent`` in the dict) instead of
-                        # being re-rooted as if they were local work;
-                        # ids are never reused while rings are
-                        # non-empty, so the link cannot alias.
-                        node["parent_evicted"] = True
-                    else:
-                        node["orphaned"] = True
-                roots.append(node)
-        # The deque is in *finish* order (children before parents);
-        # present roots in start order, as the docstring promises.
-        roots.sort(key=lambda node: (node["start_ms"], node["id"]))
-        for node in nodes.values():
-            node["children"].sort(
-                key=lambda child: (child["start_ms"], child["id"]))
-        return roots
+        return build_forest([span.to_dict() for span in self.spans])
 
     def format_tree(self) -> str:
         """The span tree as indented text (``obs trace dump``)."""

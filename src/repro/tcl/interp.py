@@ -353,12 +353,6 @@ class Interp:
             return script
         return self._compiled(script)
 
-    def eval_words(self, argv: List[str]) -> str:
-        """Invoke a command from already-substituted words."""
-        if not argv:
-            return ""
-        return self._invoke(argv, source=format_list(argv))
-
     def eval_top(self, script: Union[str, CompiledScript]) -> str:
         """Evaluate at top level, recording errorInfo in the global var.
 
@@ -774,7 +768,8 @@ class Interp:
             body = compiled
         frame = CallFrame(level=len(self.frames), proc_name=proc.name,
                           argv=argv)
-        self._bind_formals(proc, argv, frame)
+        frame.variables.update(zip((formal[0] for formal in proc.formals),
+                                   self._bind_slots(proc, argv)))
         self.frames.append(frame)
         try:
             try:
@@ -816,8 +811,9 @@ class Interp:
             self.depth -= 1
 
     def _bind_slots(self, proc: Proc, argv: List[str]) -> list:
-        """Bind arguments to slot-indexed formals (``_bind_formals``
-        with positions instead of dict inserts; same diagnostics)."""
+        """Argument values for ``proc``'s formals, in formal order: a
+        trailing ``args`` collects the rest as a list, missing ones take
+        their defaults; raises Tcl's arity errors."""
         supplied = argv[1:]
         formals = proc.formals
         n_supplied = len(supplied)
@@ -839,27 +835,6 @@ class Interp:
             raise TclError(
                 'called "%s" with too many arguments' % proc.name)
         return slots
-
-    def _bind_formals(self, proc: Proc, argv: List[str],
-                      frame: CallFrame) -> None:
-        supplied = argv[1:]
-        formals = proc.formals
-        for position, formal in enumerate(formals):
-            name = formal[0]
-            if name == "args" and position == len(formals) - 1:
-                frame.variables["args"] = format_list(supplied[position:])
-                return
-            if position < len(supplied):
-                frame.variables[name] = supplied[position]
-            elif len(formal) == 2:
-                frame.variables[name] = formal[1]
-            else:
-                raise TclError(
-                    'no value given for parameter "%s" to "%s"'
-                    % (name, proc.name))
-        if len(supplied) > len(formals):
-            raise TclError(
-                'called "%s" with too many arguments' % proc.name)
 
     def frame_at_level(self, level_spec: str,
                        default_up_one: bool = True) -> CallFrame:

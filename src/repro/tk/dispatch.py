@@ -228,11 +228,6 @@ class EventDispatcher:
             processed += 1
         return processed
 
-    def pending_work(self) -> bool:
-        display = self.app.display
-        return bool(display.pending() or display.pending_output() or
-                    self._idle or self.next_timer_deadline() is not None)
-
     def mainloop(self, until: Optional[Callable[[], bool]] = None,
                  max_iterations: int = 1000000) -> None:
         """Run until the application is destroyed (or ``until`` holds)."""

@@ -282,9 +282,6 @@ class Menu(Widget):
             return current == entry.options.get("onvalue", "1")
         return current == entry.options.get("value", entry.label)
 
-    def map_unposted(self) -> None:  # pragma: no cover - test helper
-        self.window.map()
-
 
 class Menubutton(Button):
     """A button that posts an associated menu when pressed."""

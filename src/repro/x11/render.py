@@ -105,9 +105,6 @@ class Renderer:
         self._paint(window, canvas, origin_x, origin_y)
         return canvas.render()
 
-    def render_screen(self) -> str:
-        return self.render_window(self.server.root.id)
-
     def _paint(self, window: Window, canvas: TextCanvas,
                origin_x: int, origin_y: int) -> None:
         if not window.mapped and window.parent is not None:

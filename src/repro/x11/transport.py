@@ -32,8 +32,8 @@ be re-dropped).
 
 Metrics (on the server's registry, labeled by client number and
 transport kind): ``x11.wire.bytes_out`` / ``x11.wire.bytes_in`` count
-payload traffic from the client's point of view (handshake and MARK
-flow control are uncounted, so loopback and socket byte counts agree);
+payload traffic from the client's point of view (the handshake is
+uncounted, so loopback and socket byte counts agree);
 ``x11.wire.rtt_ms`` is a virtual-clock histogram over reply-bearing
 requests; ``x11.wire.backpressure`` counts short writes on a
 connection whose peer is slow to read.  The ``transport=`` label keeps
@@ -47,16 +47,15 @@ handle spans stitch into the client's causal tree identically on both
 transports.  With no tracer active the frames carry no context and are
 byte-identical to the untraced codec.
 
-Input injection (``warp_pointer`` and friends) must run on the server
-thread *and* drain client output buffers mid-call in the same order
-the loopback path does.  :meth:`ServerHost.call` marshals the callable
-to the server thread; when the server-side flush hook for a socket
-client fires, the host posts a flush request back to the calling
-thread, serves that client's frames until a MARK fence arrives, and
-only then lets the injector continue — reproducing the exact journal
-ordering of the in-process path.  A client whose Display has nothing
-buffered, or that has no Display, is skipped without a fence: its
-thread is parked in the call, so none of its frames can be in flight.
+Input injection (``warp_pointer`` and friends) runs on the server
+thread, and requests a client has already buffered must reach the
+server before the input (the Xlib output discipline).
+:meth:`ServerHost.inject` keeps that rule on the calling thread: it
+flushes every socket Display that holds buffered output, in connection
+order, before it hands the injector to the server thread.  Each flush
+is an ordinary ack-synchronous BATCH, served by the host's one read
+loop, so the server journals the drained requests before the input,
+as the loopback path does.  Idle Displays send nothing.
 
 A request frame naming no public server request, or whose handler
 fails with anything but an X error, is answered with an ERROR frame
@@ -67,13 +66,11 @@ serving.  (Over loopback the same mistakes raise in-process.)
 from __future__ import annotations
 
 import queue
-import select
 import selectors
 import socket
 import threading
-import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from . import wire
 from .xserver import XConnectionLost, XProtocolError, XServer
@@ -367,7 +364,7 @@ class _Conn:
         self.wbuf += frame
         self.flush_writes()
         if len(self.wbuf) > WRITE_LIMIT:
-            self.host._close_down(self, "write buffer overflow")
+            self.host._drop_conn(self)
 
     def send_error(self, error: Exception) -> None:
         self.send(wire.encode_frame(wire.ERROR, wire.error_value(error)))
@@ -429,14 +426,14 @@ class _Conn:
 class _HostCall:
     """A callable marshalled to the server thread, plus its results."""
 
-    __slots__ = ("fn", "result", "error", "requests")
+    __slots__ = ("fn", "result", "error", "done")
 
     def __init__(self, fn):
         self.fn = fn
         self.result = None
         self.error = None
-        #: ("flush", client_number) requests and the final ("done",)
-        self.requests: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: gets one item once ``fn`` has run on the server thread
+        self.done: "queue.SimpleQueue" = queue.SimpleQueue()
 
 
 class ServerHost:
@@ -461,11 +458,8 @@ class ServerHost:
         self._lock = threading.Lock()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        self._active_call: Optional[_HostCall] = None
-        #: client number -> (display flush hook, SocketTransport, the
-        #: Display's buffered-request count)
-        self._flushers: Dict[int, Tuple[Callable, "SocketTransport",
-                                        Callable[[], int]]] = {}
+        #: client number -> the Display's flush hook, in connection order
+        self._flushers: Dict[int, Callable[[], None]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -499,13 +493,11 @@ class ServerHost:
         self._wake()
         return client_end
 
-    def register_display(self, number: int, flush_hook: Callable,
-                         transport: "SocketTransport") -> None:
+    def register_display(self, number: int, flush_hook: Callable) -> None:
         # The hook is a Display's bound _flush_for_server; its
-        # pending_output tells an injection whether a drain would move
+        # pending_output tells an injection whether a flush would send
         # anything.
-        self._flushers[number] = (flush_hook, transport,
-                                  flush_hook.__self__.pending_output)
+        self._flushers[number] = flush_hook
 
     def _wake(self) -> None:
         try:
@@ -516,15 +508,7 @@ class ServerHost:
     # -- cross-thread calls --------------------------------------------
 
     def call(self, fn: Callable[[], object]):
-        """Run ``fn`` on the server thread and return its result.
-
-        While the call runs, this (client) thread services any flush
-        requests the server posts for socket-backed Displays — the
-        socket analogue of ``_drain_client_output`` — so buffered
-        output crosses the wire at exactly the same point it would
-        in-process.  Only Displays with buffered output are asked: an
-        idle connection costs no flush request and no MARK fence.
-        """
+        """Run ``fn`` on the server thread and return its result."""
         if threading.current_thread() is self._thread:
             return fn()
         if not self.running:
@@ -533,24 +517,27 @@ class ServerHost:
         with self._lock:
             self._commands.append(("call", call))
         self._wake()
-        while True:
-            item = call.requests.get()
-            if item[0] == "done":
-                break
-            if item[0] == "flush":
-                hook, transport, _ = self._flushers[item[1]]
-                try:
-                    hook()
-                except XProtocolError:
-                    pass
-                transport.send_mark()
+        call.done.get()
         if call.error is not None:
             raise call.error
         return call.result
 
     def inject(self, name: str, *args):
         """Run a server input injector (``warp_pointer`` etc.) on the
-        server thread."""
+        server thread.
+
+        Socket Displays that hold buffered output are flushed first, on
+        this thread and in connection order: their requests were issued
+        before the input, so they must reach the server before it.  A
+        flush's protocol error is stashed by the Display for its next
+        flush point, and a lost connection surfaces at its next call;
+        neither stops the input.  Idle Displays send nothing.  Called
+        from the host thread, the injector just runs.
+        """
+        if threading.current_thread() is not self._thread:
+            for flush in list(self._flushers.values()):
+                if flush.__self__.pending_output():
+                    flush()
         server = self.server
         return self.call(lambda: getattr(server, name)(*args))
 
@@ -608,15 +595,12 @@ class ServerHost:
                 self.running = False
 
     def _run_call(self, call: _HostCall) -> None:
-        self._active_call = call
         try:
             call.result = call.fn()
         except BaseException as error:
             call.error = error
-        finally:
-            self._active_call = None
         self._sweep()
-        call.requests.put(("done",))
+        call.done.put(None)
 
     def _update_interest(self, conn: _Conn) -> None:
         if conn.closed:
@@ -666,7 +650,6 @@ class ServerHost:
             conn.client = client
             client.transport_sink = conn.sink_event
             client.direct_sink = conn.ship_event
-            client.flush_output = self._make_flush_hook(conn)
             conn.send(wire.encode_frame(wire.SETUP_ACK, (
                 client.number, server.root.id, server.root.width,
                 server.root.height)))
@@ -682,8 +665,6 @@ class ServerHost:
             conn.flush_writes()
             conn.close()  # EOF is the close-down acknowledgement
             return
-        if ftype == wire.MARK:
-            return  # stray fence outside a drain: nothing to coordinate
         self._drop_conn(conn)
 
     def _serve_request(self, conn: _Conn, ftype: int, value,
@@ -753,11 +734,6 @@ class ServerHost:
             self.server.disconnect(conn.client)
         conn.close()
 
-    def _close_down(self, conn: _Conn, reason: str) -> None:
-        if conn.client is not None and not conn.client.closed:
-            self.server.disconnect(conn.client)
-        conn.close()
-
     def _sweep(self) -> None:
         """Notify connections whose client a fault plan closed."""
         for conn in list(self._conns):
@@ -768,83 +744,6 @@ class ServerHost:
                 conn.send_error(XConnectionLost(_LOST))
                 conn.flush_writes()
                 conn.close()
-
-    # -- input-injection drain (MARK protocol) -------------------------
-
-    def _make_flush_hook(self, conn: _Conn) -> Callable[[], None]:
-        """The server-side flush hook of one socket client.
-
-        Inside a :meth:`call`, it asks the calling thread to flush the
-        client's Display and serves the client's frames up to the MARK
-        fence.  A client with nothing buffered, or with no Display
-        registered, is skipped: the protocol is ack-synchronous, so
-        while the calling thread is parked in :meth:`call` none of its
-        frames are in flight, and an empty flush would send nothing.
-        """
-        def hook() -> None:
-            call = self._active_call
-            if call is None or conn.closed or conn.client.closed or \
-                    not self._has_output(conn.client.number):
-                return
-            call.requests.put(("flush", conn.client.number))
-            self._serve_until_mark(conn)
-        return hook
-
-    def _has_output(self, number: int) -> bool:
-        """Whether client ``number``'s Display holds buffered requests.
-
-        Read on the server thread while the Display's own thread is
-        parked in :meth:`call`, as the flush itself assumes.  A stashed
-        asynchronous error alone does not count: flushing an empty
-        buffer just stashes it again.
-        """
-        entry = self._flushers.get(number)
-        return entry is not None and entry[2]() > 0
-
-    def _serve_until_mark(self, conn: _Conn) -> None:
-        """Serve one client's frames until its MARK fence arrives.
-
-        Runs on the server thread, inside an injector's flush hook,
-        while the client thread (blocked in :meth:`call`) flushes its
-        Display and then sends MARK.
-        """
-        deadline = time.monotonic() + _REPLY_TIMEOUT
-        while not conn.closed:
-            try:
-                frames = wire.extract_frames(conn.rbuf)
-            except wire.WireError:
-                self._drop_conn(conn)
-                return
-            marked = False
-            for index, frame in enumerate(frames):
-                if len(frame) >= 5 and frame[4] == wire.MARK:
-                    # anything after the fence belongs to the main loop
-                    leftover = b"".join(frames[index + 1:])
-                    if leftover:
-                        conn.rbuf[0:0] = leftover
-                    marked = True
-                    break
-                if conn.closed:
-                    break
-                self._handle_frame(conn, frame)
-            if marked or conn.closed:
-                return
-            ready, _, _ = select.select([conn.sock], [], [], 0.1)
-            if not ready:
-                if time.monotonic() > deadline:
-                    self._drop_conn(conn)
-                    return
-                continue
-            try:
-                data = conn.sock.recv(_RECV_CHUNK)
-            except BlockingIOError:
-                continue
-            except OSError:
-                data = b""
-            if not data:
-                self._drop_conn(conn)
-                return
-            conn.rbuf += data
 
 
 # ----------------------------------------------------------------------
@@ -932,7 +831,7 @@ class SocketTransport(Transport):
         return self._height
 
     def register_flush_hook(self, hook: Callable[[], object]) -> None:
-        self.host.register_display(self.number, hook, self)
+        self.host.register_display(self.number, hook)
 
     # -- raw socket I/O ------------------------------------------------
 
@@ -951,15 +850,6 @@ class SocketTransport(Transport):
         self._telemetry.bytes_out.value += len(frame)
         if self.wire_log is not None:
             self.wire_log.append(frame)
-
-    def send_mark(self) -> None:
-        """Fence for the host's input-injection drain (uncounted)."""
-        if self._closed:
-            return
-        try:
-            self._sock.sendall(wire.encode_frame(wire.MARK, None))
-        except OSError:
-            self._mark_lost()
 
     def _next_frame(self, block: bool) -> Optional[bytes]:
         while True:

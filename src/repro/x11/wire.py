@@ -41,7 +41,6 @@ REQUEST    0x07   reply-bearing request (name, args, kwargs)
 REPLY      0x08   the reply value
 ERROR      0x09   (kind, message); kind 0=XProtocolError 1=XConnectionLost
 EVENT      0x0A   one Event
-MARK       0x0B   flow-control fence for input injection (uncounted)
 BYE        0x0C   orderly client close-down
 ========== ====== =================================================
 
@@ -90,7 +89,7 @@ __all__ = [
     "decode_frame_ex", "extract_frames", "frame_name", "frame_size",
     "error_value", "error_from_value", "CODEC_VERSION", "TRACED_FRAMES",
     "SETUP", "SETUP_ACK", "BATCH", "BATCH_ACK", "ONEWAY", "ONEWAY_ACK",
-    "REQUEST", "REPLY", "ERROR", "EVENT", "MARK", "BYE",
+    "REQUEST", "REPLY", "ERROR", "EVENT", "BYE",
 ]
 
 #: Codec version 2 added the optional trailing trace-context field on
@@ -118,7 +117,6 @@ REQUEST = 0x07
 REPLY = 0x08
 ERROR = 0x09
 EVENT = 0x0A
-MARK = 0x0B
 BYE = 0x0C
 
 #: Frame types that may carry a trailing trace-context field.  Only
@@ -137,7 +135,6 @@ FRAME_NAMES = {
     REPLY: "REPLY",
     ERROR: "ERROR",
     EVENT: "EVENT",
-    MARK: "MARK",
     BYE: "BYE",
 }
 
@@ -440,14 +437,8 @@ def _value_size(value) -> int:
     return _value_size_slow(value)
 
 
-#: The Event fields :func:`_event_size` reads, in the order it reads
-#: them.  Must equal ``events.WIRE_FIELDS`` (a codec test pins this),
-#: or the sizer would size a different frame than the encoder.
-EVENT_SIZER_FIELDS = (
-    "type", "window", "x", "y", "x_root", "y_root", "state", "keysym",
-    "keychar", "button", "width", "height", "time", "atom", "selection",
-    "target", "property", "requestor", "data", "send_event")
-_event_values = operator.itemgetter(*EVENT_SIZER_FIELDS)
+#: the Event fields in wire order, as the general sizing path reads them
+_event_values = operator.itemgetter(*WIRE_FIELDS)
 #: the sixteen int fields of the common shape, range-checked in one call
 _EVENT_INTS = struct.Struct(">16q")
 #: frame bytes of a common-shape Event, apart from its two strings'

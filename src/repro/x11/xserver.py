@@ -87,10 +87,12 @@ class Client:
         #: atoms this client interned (census bookkeeping only — atoms
         #: themselves are server-global and permanent)
         self.atom_refs: set = set()
-        #: set by Display: delivers the client's output buffer.  The
-        #: server calls it before injecting user input, so requests the
-        #: client already issued always precede the input on the virtual
-        #: timeline (they were written before the input happened).
+        #: set by a loopback Display: delivers the client's output
+        #: buffer.  The server calls it before injecting user input, so
+        #: requests the client already issued always precede the input
+        #: on the virtual timeline (they were written before the input
+        #: happened).  Socket Displays are flushed by
+        #: ``ServerHost.inject`` before the injector starts instead.
         self.flush_output = None
         #: transport hooks (see repro.x11.transport).  When a transport
         #: owns this connection, ``transport_sink`` carries the fault
@@ -1111,6 +1113,8 @@ class XServer:
         the input device event about to be injected, so they must reach
         the server first — otherwise a ``select_input`` the client
         already wrote could miss the very event a test is injecting.
+        Injectors drain before they journal their input, so the journal
+        lists the drained requests first, in their real time order.
         """
         for client in list(self.clients):
             hook = client.flush_output
@@ -1126,9 +1130,9 @@ class XServer:
 
     def warp_pointer(self, root_x: int, root_y: int, state: int = 0) -> None:
         """Move the pointer, generating Enter/Leave and Motion events."""
+        self._drain_client_output()
         if self._jrec is not None:
             self._jrec.input("warp_pointer", (root_x, root_y, state))
-        self._drain_client_output()
         self._jclient = None
         self._tick("warp_pointer")
         self.pointer_x = root_x
@@ -1167,18 +1171,16 @@ class XServer:
 
     def press_button(self, button: int, state: int = 0) -> None:
         """Press a pointer button at the current pointer position."""
-        if self._jrec is not None:
-            self._jrec.input("press_button", (button, state))
-        self._button_event(BUTTON_PRESS, button, state)
+        self._button_event("press_button", BUTTON_PRESS, button, state)
 
     def release_button(self, button: int, state: int = 0) -> None:
-        if self._jrec is not None:
-            self._jrec.input("release_button", (button, state))
-        self._button_event(BUTTON_RELEASE, button, state)
+        self._button_event("release_button", BUTTON_RELEASE, button, state)
 
-    def _button_event(self, event_type: int, button: int,
+    def _button_event(self, name: str, event_type: int, button: int,
                       state: int) -> None:
         self._drain_client_output()
+        if self._jrec is not None:
+            self._jrec.input(name, (button, state))
         self._jclient = None
         self._tick("button_event")
         window = self.pointer_window
@@ -1192,19 +1194,18 @@ class XServer:
     def press_key(self, keysym: str, state: int = 0,
                   window_id: Optional[int] = None) -> None:
         """Press a key; delivered to the focus window (or an override)."""
-        if self._jrec is not None:
-            self._jrec.input("press_key", (keysym, state, window_id))
-        self._key_event(KEY_PRESS, keysym, state, window_id)
+        self._key_event("press_key", KEY_PRESS, keysym, state, window_id)
 
     def release_key(self, keysym: str, state: int = 0,
                     window_id: Optional[int] = None) -> None:
-        if self._jrec is not None:
-            self._jrec.input("release_key", (keysym, state, window_id))
-        self._key_event(KEY_RELEASE, keysym, state, window_id)
+        self._key_event("release_key", KEY_RELEASE, keysym, state,
+                        window_id)
 
-    def _key_event(self, event_type: int, keysym: str, state: int,
-                   window_id: Optional[int]) -> None:
+    def _key_event(self, name: str, event_type: int, keysym: str,
+                   state: int, window_id: Optional[int]) -> None:
         self._drain_client_output()
+        if self._jrec is not None:
+            self._jrec.input(name, (keysym, state, window_id))
         self._jclient = None
         self._tick("key_event")
         from .keysyms import char_for_keysym

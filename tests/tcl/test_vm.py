@@ -101,6 +101,39 @@ def test_cmd_count_matches_tree_walker():
     assert counts[0] == counts[1]
 
 
+def test_argument_binding_matches_tree_walker():
+    # both tiers bind formals through Interp._bind_slots
+    script = (
+        "proc two {a b} {list $a $b}\n"
+        "proc dflt {a {b 7} {c {x y}}} {list $a $b $c}\n"
+        "proc rest {a {b 2} args} {list $a $b $args}\n"
+        "proc twice {a a} {set a}\n"
+        "set out {}\n"
+        "foreach call {{two 1} {two 1 2 3} {two 1 2} {dflt} {dflt 1}"
+        " {dflt 1 2} {dflt 1 2 3 4} {rest} {rest 1} {rest 1 2 3 {4 5}}"
+        " {twice 1} {twice 1 2} {twice 1 2 3}} {\n"
+        "  lappend out [catch $call msg] $msg\n"
+        "}\n"
+        "set out")
+    outcomes = [Interp(bytecode_enabled=flag).eval(script)
+                for flag in (True, False)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (
+        '1 {no value given for parameter "b" to "two"}'
+        ' 1 {called "two" with too many arguments}'
+        ' 0 {1 2}'
+        ' 1 {no value given for parameter "a" to "dflt"}'
+        ' 0 {1 7 {x y}}'
+        ' 0 {1 2 {x y}}'
+        ' 1 {called "dflt" with too many arguments}'
+        ' 1 {no value given for parameter "a" to "rest"}'
+        ' 0 {1 2 {}}'
+        ' 0 {1 2 {3 {4 5}}}'
+        ' 1 {no value given for parameter "a" to "twice"}'
+        ' 0 2'
+        ' 1 {called "twice" with too many arguments}')
+
+
 # ---------------------------------------------------------------------------
 # counters and disassembly
 # ---------------------------------------------------------------------------

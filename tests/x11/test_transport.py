@@ -3,9 +3,10 @@ server host, fault routing at the frame level, and backpressure.
 
 The loopback/socket pair must be observably interchangeable: same
 requests, same events, same byte counts.  Socket-specific machinery —
-the MARK input-injection fence, the sweep that turns a fault-plan
-disconnect into an on-wire XConnectionLost, write backpressure — gets
-targeted coverage of its own.
+the pre-flush that puts buffered output ahead of injected input, the
+sweep that turns a fault-plan disconnect into an on-wire
+XConnectionLost, write backpressure — gets targeted coverage of its
+own.
 """
 
 import selectors
@@ -255,7 +256,7 @@ class TestSocketTransport:
         with pytest.raises(XConnectionLost):
             display.intern_atom("X")
 
-    def test_input_injection_through_mark_fence(self, server):
+    def test_input_injection_reaches_the_display(self, server):
         display = socket_display(server, buffering_enabled=True)
         win = display.create_window(display.root, 0, 0, 100, 100)
         display.select_input(win, ev.BUTTON_PRESS_MASK
@@ -303,28 +304,20 @@ class TestSocketTransport:
 
 
 class TestDrainFence:
-    """Input injection drains only the socket Displays that hold
-    buffered output: one flush request and one MARK fence each."""
+    """Input injection first flushes the socket Displays that hold
+    buffered output, on the calling thread and in connection order;
+    idle Displays send nothing.  Each flush is an ordinary BATCH, so
+    the requests reach the server before the input."""
 
     @staticmethod
-    def count_fences(monkeypatch, host, displays):
-        marks, flushes = [], []
-        for display in displays:
-            transport = display.transport
+    def frame_types(display):
+        """Frame types on ``display``'s captured wire, events read."""
+        while display.pending():
+            display.next_event()
+        return [wire.frame_name(frame[4])
+                for frame in display.transport.wire_log]
 
-            def send_mark(send=transport.send_mark,
-                          number=display.client.number):
-                marks.append(number)
-                send()
-            monkeypatch.setattr(transport, "send_mark", send_mark)
-
-        def serve_until_mark(conn, serve=host._serve_until_mark):
-            flushes.append(conn.client.number)
-            serve(conn)
-        monkeypatch.setattr(host, "_serve_until_mark", serve_until_mark)
-        return marks, flushes
-
-    def test_idle_displays_pay_no_fence(self, server, monkeypatch):
+    def test_idle_displays_pay_no_fence(self, server):
         displays = [socket_display(server, buffering_enabled=True)
                     for _ in range(2)]
         for display in displays:
@@ -332,15 +325,15 @@ class TestDrainFence:
             display.select_input(win, ev.POINTER_MOTION_MASK)
             display.map_window(win)
             display.flush()
+            display.transport.capture_wire()
         host = server._wire_host
-        marks, flushes = self.count_fences(monkeypatch, host, displays)
         host.inject("warp_pointer", 5, 5)
         host.inject("press_button", 1)
-        assert marks == [] and flushes == []
-        assert [display.pending() for display in displays] == [0, 1]
+        assert [self.frame_types(display) for display in displays] == \
+            [[], ["EVENT"]]
 
-    def test_buffered_request_is_fenced_before_the_input(
-            self, server, monkeypatch):
+    def test_buffered_request_is_fenced_before_the_input(self, server):
+        from repro.obs.journal import Journal
         display = socket_display(server, buffering_enabled=True)
         idle = socket_display(server, buffering_enabled=True)
         win = display.create_window(display.root, 0, 0, 100, 100)
@@ -348,22 +341,24 @@ class TestDrainFence:
         display.flush()
         display.select_input(win, ev.POINTER_MOTION_MASK)
         assert display.pending_output() == 1
-        host = server._wire_host
-        marks, flushes = self.count_fences(monkeypatch, host,
-                                           [display, idle])
-        host.inject("warp_pointer", 10, 20)
-        number = display.client.number
-        assert marks == [number] and flushes == [number]
+        display.transport.capture_wire()
+        idle.transport.capture_wire()
+        journal = server.attach_journal(Journal())
+        server._wire_host.inject("warp_pointer", 10, 20)
         assert display.pending_output() == 0
-        # the motion was delivered under the mask the drain delivered
+        # the motion was delivered under the mask the flush delivered
         event = display.next_event()
         assert (event.type, event.window, event.x, event.y) == \
             (ev.MOTION_NOTIFY, win, 10, 20)
-        assert display.pending() == 0
+        assert self.frame_types(display) == ["BATCH", "BATCH_ACK",
+                                             "EVENT"]
+        assert self.frame_types(idle) == []
+        assert [entry["k"] for entry in journal.entries()
+                if entry["k"] != "req"] == ["batch", "input"]
 
     def test_injection_with_a_bare_client_connected(self, server):
         # a SocketTransport with no Display registers no flush hook:
-        # injecting must neither wait for its fence nor disconnect it
+        # injecting must neither wait for it nor disconnect it
         host = ensure_host(server)
         bare = SocketTransport(host)
         display = socket_display(server)
@@ -374,6 +369,91 @@ class TestDrainFence:
         assert not bare.client.closed
         bare.request("sync")
         display.sync()
+
+    @staticmethod
+    def journaled_session(kind):
+        """Buffered output before every warp, press and key injection;
+        returns the session's journal as JSON lines."""
+        from repro.obs.journal import Journal
+        server = XServer()
+        try:
+            journal = server.attach_journal(
+                Journal(clock=lambda: server.time_ms))
+            first = Display(server, buffering_enabled=True,
+                            transport=kind)
+            second = Display(server, buffering_enabled=True,
+                             transport=kind)
+            win = first.create_window(first.root, 0, 0, 100, 100)
+            other = second.create_window(second.root, 0, 0, 40, 40)
+            if kind == "socket":
+                inject = server._wire_host.inject
+            else:
+                def inject(name, *args):
+                    getattr(server, name)(*args)
+            first.map_window(win)
+            first.select_input(win, ev.POINTER_MOTION_MASK
+                               | ev.BUTTON_PRESS_MASK | ev.KEY_PRESS_MASK)
+            second.map_window(other)
+            inject("warp_pointer", 60, 60)
+            first.configure_window(win, width=90)
+            inject("press_button", 1)
+            second.select_input(other, ev.POINTER_MOTION_MASK)
+            first.raise_window(win)
+            inject("release_button", 1)
+            first.configure_window(win, height=80)
+            inject("press_key", "a", 0, win)
+            second.configure_window(other, width=30)
+            inject("release_key", "a", 0, win)
+            second.unmap_window(other)
+            inject("warp_pointer", 10, 10)
+            for display in (first, second):
+                display.sync()
+                while display.pending():
+                    display.next_event()
+            return journal.to_jsonl()
+        finally:
+            shutdown_host(server)
+
+    def test_journal_identical_over_loopback_and_socket(self):
+        import json
+        text = self.journaled_session("loopback")
+        assert self.journaled_session("socket") == text
+        # each input follows the batch its injection drained
+        kinds = [json.loads(line)["k"] for line in text.splitlines()]
+        kinds = [kind for kind in kinds if kind != "req"]
+        inputs = [i for i, kind in enumerate(kinds) if kind == "input"]
+        assert len(inputs) == 6
+        assert all(kinds[i - 1] == "batch" for i in inputs)
+
+    def test_disconnect_during_the_preflush(self, server):
+        plan = server.install_fault_plan(FaultPlan())
+        victim = socket_display(server, buffering_enabled=True)
+        watcher = socket_display(server)
+        win = watcher.create_window(watcher.root, 0, 0, 50, 50)
+        watcher.select_input(win, ev.BUTTON_PRESS_MASK)
+        watcher.map_window(win)
+        own = victim.create_window(victim.root, 0, 0, 10, 10)
+        number = victim.client.number
+        plan.disconnect_client(number, on_request="map_window")
+        victim.map_window(own)
+        assert victim.pending_output() == 1
+        started = time.monotonic()
+        host = server._wire_host
+        host.inject("warp_pointer", 5, 5)
+        host.inject("press_button", 1)
+        assert time.monotonic() - started < 1.0
+        assert victim.pending_output() == 0
+        assert [client.closed for client in server.clients
+                if client.number == number] == [True]
+        # the flush's error waits for the victim's next flush point,
+        # then the lost connection surfaces
+        with pytest.raises(XProtocolError):
+            victim.sync()
+        with pytest.raises(XConnectionLost):
+            victim.sync()
+        assert victim.closed
+        assert [watcher.next_event().type
+                for _ in range(watcher.pending())] == [ev.BUTTON_PRESS]
 
 
 class TestBadRequests:

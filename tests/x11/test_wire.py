@@ -216,9 +216,6 @@ class TestFrameSize:
             assert wire.frame_size(wire.EVENT, event) == \
                 len(wire.encode_frame(wire.EVENT, event)), value
 
-    def test_event_sizer_unpacks_the_wire_fields(self):
-        assert wire.EVENT_SIZER_FIELDS == ev.WIRE_FIELDS
-
     # Request payloads carry a live Client (select_input) and GCs
     # (draw_*); both have exact-type arms ahead of the isinstance chain.
     GC_VALUES = [{}, {"foreground": 1, "background": 0},
@@ -456,7 +453,6 @@ class TestFrames:
             wire.REPLY: (0, 0, 10, 10, 1),
             wire.ERROR: (0, "BadWindow"),
             wire.EVENT: ev.Event(type=ev.EXPOSE, window=3),
-            wire.MARK: None,
             wire.BYE: None,
         }
         for ftype, payload in payloads.items():
@@ -469,7 +465,7 @@ class TestFrames:
     def test_unknown_frame_type_rejected_both_ways(self):
         with pytest.raises(WireError):
             wire.encode_frame(0x7F, None)
-        frame = bytearray(wire.encode_frame(wire.MARK))
+        frame = bytearray(wire.encode_frame(wire.BYE))
         frame[4] = 0x7F
         with pytest.raises(WireError):
             wire.decode_frame(bytes(frame))
@@ -641,7 +637,7 @@ class TestTraceContext:
             wire.encode_frame(ftype, payload)
 
     def test_ctx_rejected_on_untraced_frame_types(self):
-        for ftype in (wire.REPLY, wire.EVENT, wire.MARK, wire.BYE):
+        for ftype in (wire.REPLY, wire.EVENT, wire.BYE):
             with pytest.raises(WireError):
                 wire.encode_frame(ftype, None if ftype != wire.REPLY
                                   else 5, 1)
