@@ -197,18 +197,19 @@ def _gui_app(name):
 
 def run_journal_report() -> dict:
     from repro.obs.journal import Journal
-    from repro.obs.replay import start_recording
+    from repro.obs.session import SessionSpec, start_recording
 
     pairs = [_gui_app("bench%d" % index) for index in range(3)]
     # journal_off: the machinery has been exercised and released —
     # the hot path must be back to one dead pointer test per request
     journal = Journal(clock=lambda: pairs[1][0].time_ms)
-    journal.set_header(name="bench-off")
+    journal.set_header(SessionSpec(name="bench-off"))
     pairs[1][0].attach_journal(journal)
     pairs[1][0].detach_journal()
     # a small ring keeps the recording configuration's steady-state
     # heap modest so it cannot distort the interleaved baselines
-    start_recording(pairs[2][0], name="bench-on", maxlen=4096)
+    start_recording(pairs[2][0], SessionSpec(name="bench-on"),
+                    maxlen=4096)
 
     def build(pair):
         server, app = pair

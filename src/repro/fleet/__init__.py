@@ -12,9 +12,10 @@ reproduction handle, and declarative SLO checks.
 Typical use::
 
     from repro.fleet import FleetDriver, SessionSpec
+    from repro.fuzz import generate_scenario
 
     specs = [SessionSpec.from_journal("examples/golden.journal")]
-    specs += [SessionSpec.from_seed(seed) for seed in range(40)]
+    specs += [generate_scenario(seed) for seed in range(40)]
     result = FleetDriver(specs, seed=0).run()
     print(result.report(top=10))
 
@@ -25,8 +26,9 @@ or from the command line::
     python -m repro.fleet --repro capture.journal
 """
 
+from ..obs.session import SessionSpec
 from .driver import FleetDriver, FleetResult
-from .harness import FleetSession, SessionSpec, make_slow_spec
+from .harness import FleetSession, make_slow_spec
 from .telemetry import (DEFAULT_SLOS, SLO, FleetTelemetry, check_slos,
                         format_slos, format_top, top_slowest)
 

@@ -28,9 +28,11 @@ import sys
 from typing import List, Optional
 
 from ..fuzz.__main__ import derive_seed
+from ..fuzz.gen import generate_scenario
+from ..obs.session import SessionSpec
 from .driver import (DEFAULT_CELL_SIZE, DEFAULT_PING_EVERY,
                      DEFAULT_PUMP_BUDGET, FleetDriver)
-from .harness import SessionSpec, make_slow_spec
+from .harness import make_slow_spec
 
 
 def build_specs(sessions: int, seed: int, journals: List[str],
@@ -42,8 +44,8 @@ def build_specs(sessions: int, seed: int, journals: List[str],
     index = 0
     target = sessions - (1 if slow_journal else 0)
     while len(specs) < target:
-        specs.append(SessionSpec.from_seed(derive_seed(seed, index),
-                                           length=steps))
+        specs.append(generate_scenario(derive_seed(seed, index),
+                                       length=steps))
         index += 1
     if slow_journal:
         specs.append(make_slow_spec(slow_journal))
@@ -59,7 +61,6 @@ def corpus_journals(directory: str) -> List[str]:
 def repro(source: str) -> int:
     """Reproduce one session from its report handle."""
     if source.startswith("seed:"):
-        from ..fuzz.gen import generate_scenario
         from ..fuzz.runner import run_scenario
         result = run_scenario(generate_scenario(int(source[5:])))
         print(result.report())

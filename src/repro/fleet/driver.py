@@ -13,7 +13,7 @@ makes cross-session ``send`` RPCs possible, exactly as the paper's
 section 6 envisions cooperating applications on one display.  Specs
 that need isolation (fault plans, multi-application journals,
 self-recording sessions) get solo cells; see
-:attr:`SessionSpec.solo`.
+:attr:`~repro.obs.session.SessionSpec.solo`.
 
 Scheduling is cooperative round-robin at one-input granularity: each
 round visits every live session once, and a session's visit runs one
@@ -36,8 +36,9 @@ import random
 import time
 from typing import List, Optional
 
+from ..obs.session import SessionSpec
 from ..x11.xserver import VirtualClock, XServer
-from .harness import FleetSession, SessionSpec
+from .harness import FleetSession
 from .telemetry import (FleetTelemetry, check_slos, format_slos,
                         format_top, top_slowest)
 

@@ -1,22 +1,23 @@
 """Per-session harness for the fleet load generator.
 
-A :class:`SessionSpec` is the durable description of one simulated
-user: a replayable input list (journal inputs — the same vocabulary
-:mod:`repro.obs.replay` and :mod:`repro.fuzz` speak), the setup
-script, ablation flags, and an optional fault plan.  Specs come from
-three sources and all run identically:
+A fleet session runs a :class:`~repro.obs.session.SessionSpec`, the
+one session description record, replay and fuzz share: journal
+inputs, the setup script, the ablation config and an optional fault
+plan, plus the fleet's ``source`` (the reproduction handle),
+``transport`` and ``record_path``.  Specs come from three sources and
+all run identically:
 
 * a recorded journal (:meth:`SessionSpec.from_journal`) — the golden
   session, the shrunk regression corpus, any bug-report capture;
-* the fuzz generator (:meth:`SessionSpec.from_seed`) — fresh seeded
-  scenarios, so a fleet can be arbitrarily large without arbitrarily
-  many checked-in files;
+* the fuzz generator (:func:`repro.fuzz.gen.generate_scenario`) —
+  fresh seeded scenarios, so a fleet can be arbitrarily large without
+  arbitrarily many checked-in files;
 * hand-built specs (:func:`make_slow_spec`) — synthetic outliers the
   telemetry must be able to pick out of the crowd.
 
 A :class:`FleetSession` is a thin driver over one
-:class:`~repro.obs.session.Session` (the executor record, replay and
-fuzz share): it runs one spec against a (possibly shared)
+:class:`~repro.obs.session.Session` (the launch and executor record,
+replay and fuzz share): it runs one spec against a (possibly shared)
 :class:`~repro.x11.xserver.XServer`, one input per scheduler visit,
 and records *its own* telemetry into a private
 :class:`~repro.obs.metrics.MetricsRegistry`: a ``fleet.dispatch_ms``
@@ -43,114 +44,22 @@ de-duplicates display names per server as usual.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..fuzz.gen import generate_scenario
 from ..obs.metrics import MetricsRegistry
-from ..obs.replay import start_recording
-from ..obs.session import Session, SessionConfig
+from ..obs.session import RECORD_RING, Session, SessionSpec
 from ..x11 import events as ev
-from ..x11.faults import FaultPlan
 
 #: Bucket bounds (virtual ms) for the per-session dispatch histogram;
 #: wider than the default so fault-delayed outliers keep resolution.
 DISPATCH_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                     5000)
 
-#: Journal ring for sessions that record themselves — large enough
-#: that no fleet session wraps (a wrapped ring cannot replay-verify).
-RECORD_RING = 262144
-
 #: Session states reported through the fleet gauges.
 ACTIVE = "active"
 COMPLETED = "completed"
 FAULTED = "faulted"
-
-
-class SessionSpec:
-    """Everything needed to run one fleet session."""
-
-    def __init__(self, steps: List[Tuple[str, list]],
-                 setup_script: str = "",
-                 flags: Optional[dict] = None,
-                 fault_spec: Optional[dict] = None,
-                 name: str = "session", source: str = "",
-                 record_path: Optional[str] = None,
-                 transport: Optional[str] = None):
-        self.steps = [(kind, list(args)) for kind, args in steps]
-        self.setup_script = setup_script
-        #: the ablation tiers; malformed ``flags`` refuse the spec
-        #: with :class:`ValueError`
-        self.config = SessionConfig.from_flags(flags)
-        self.fault_spec = fault_spec
-        #: how this session's Displays reach the cell's server: None /
-        #: "loopback" for in-process calls, "socket" for real frames
-        #: over the cell's thread-hosted ServerHost (see
-        #: repro.x11.transport); socket sessions share cells freely.
-        self.transport = transport
-        self.name = name
-        #: where this spec came from — a journal path or ``seed:N``;
-        #: the top-N report prints it as the reproduction handle
-        self.source = source
-        #: when set, the session records its own journal and saves it
-        #: here at completion (the outlier-repro path)
-        self.record_path = record_path
-
-    @property
-    def flags(self) -> dict:
-        return self.config.to_flags()
-
-    @property
-    def multi_app(self) -> bool:
-        return any(kind == "new_app" for kind, _ in self.steps)
-
-    @property
-    def solo(self) -> bool:
-        """Sessions that need a server cell of their own.
-
-        A fault plan is installed per *server*, so a faulted spec must
-        not share (its faults would hit innocent neighbours); a
-        multi-application spec resolves peers by recorded name, which
-        only stays unambiguous on a private server; a recording spec's
-        journal must contain no neighbour traffic or it cannot replay
-        standalone.
-        """
-        return (self.fault_spec is not None or self.multi_app
-                or self.record_path is not None)
-
-    @classmethod
-    def from_journal(cls, path: str) -> "SessionSpec":
-        """A spec replaying a recorded journal's inputs.
-
-        Planted test-only bugs named by the header are *not* armed —
-        the fleet drives the shipping code; the journal contributes
-        its workload, not its historical defect.
-        """
-        from ..obs.journal import Journal
-        journal = Journal.load(path)
-        header = journal.meta or {}
-        return cls(journal.inputs(),
-                   setup_script=header.get("script") or "",
-                   flags=dict(header.get("flags") or {}),
-                   fault_spec=header.get("fault_plan"),
-                   name=header.get("name") or "journal",
-                   source=path)
-
-    @classmethod
-    def from_seed(cls, seed: int, length: int = 40) -> "SessionSpec":
-        """A spec generated by the fuzzer's seeded scenario generator."""
-        scenario = generate_scenario(seed, length=length)
-        return cls(scenario.steps,
-                   setup_script=scenario.setup_script,
-                   flags=scenario.flags,
-                   fault_spec=scenario.fault_spec,
-                   name=scenario.name,
-                   source="seed:%d" % seed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<SessionSpec %s steps=%d source=%s%s>" % (
-            self.name, len(self.steps), self.source or "-",
-            " solo" if self.solo else "")
 
 
 class FleetSession(Session):
@@ -165,12 +74,13 @@ class FleetSession(Session):
 
     def __init__(self, sid: str, spec: SessionSpec, server,
                  pump_budget: int = 0):
-        super().__init__(server, spec.config, transport=spec.transport,
+        # The fleet drives the shipping code: a journal's planted bug
+        # is never armed, so the session must not claim one either.
+        super().__init__(server, replace(spec, planted=None),
                          pump_budget=0 if spec.record_path is not None
                          else pump_budget,
                          errors=[])
         self.sid = sid
-        self.spec = spec
         self.status = ACTIVE
         self.metrics = MetricsRegistry()
         self._m_dispatch = self.metrics.histogram(
@@ -186,7 +96,6 @@ class FleetSession(Session):
         #: phase bracket is three attribute reads, not registry lookups
         self._m_batch_ticks = server.obs.metrics.counter(
             "x11.requests", type="batch")
-        self.plan: Optional[FaultPlan] = None
         self._cursor = 0
         #: the shared clock when this session launched and when it last
         #: ran (read only by recording sessions)
@@ -196,25 +105,13 @@ class FleetSession(Session):
     # -- lifecycle -----------------------------------------------------
 
     def launch(self) -> None:
-        """Install the fault plan / recording journal, build the app."""
-        spec = self.spec
+        """Start the spec's session; a recording spec records from
+        launch."""
         self._clock_base = self.server.time_ms
-        if spec.record_path is not None:
-            plan = (FaultPlan.from_spec(spec.fault_spec)
-                    if spec.fault_spec else None)
-            # start_recording installs the plan and serializes it into
-            # the journal header, so the saved capture replays with the
-            # same faults standalone.
-            self.journal = start_recording(
-                self.server, name=spec.name, script=spec.setup_script,
-                config=spec.config, maxlen=RECORD_RING, fault_plan=plan)
-            self.plan = plan
-        elif spec.fault_spec is not None:
-            self.plan = self.server.install_fault_plan(
-                FaultPlan.from_spec(spec.fault_spec))
         # A fault plan can kill construction; the session then runs
         # its steps app-less, exactly as record_session does.
-        self.start(spec.name, spec.setup_script)
+        super().launch(ring=RECORD_RING
+                       if self.spec.record_path is not None else None)
         self._clock_seen = self.server.time_ms
 
     def step(self) -> bool:
@@ -287,10 +184,6 @@ class FleetSession(Session):
         if self.finished:
             return
         self.finished = True
-        if self.journal is not None:
-            self.server.detach_journal()
-            self.journal.close_sink()
-            self.journal.save(self.spec.record_path)
         died = self.main_app is None or self.main_app.destroyed
         injected = self.plan is not None and self.plan.total_injected > 0
         self.status = FAULTED if (died or injected) else COMPLETED
@@ -300,6 +193,8 @@ class FleetSession(Session):
             # registry each app mounts.
             self.metrics.merge(app.obs.metrics, include_mounts=False)
         self.close()
+        if self.journal is not None:
+            self.journal.save(self.spec.record_path)
         self._m_events.value = self.events
         self._m_errors.value = len(self.errors)
 
@@ -357,6 +252,5 @@ def make_slow_spec(record_path: str, name: str = "slowpoke",
                        source=record_path, record_path=record_path)
 
 
-__all__ = ["SessionSpec", "FleetSession", "make_slow_spec",
-           "DISPATCH_BUCKETS", "RECORD_RING", "SLOW_SETUP",
-           "ACTIVE", "COMPLETED", "FAULTED"]
+__all__ = ["FleetSession", "make_slow_spec", "DISPATCH_BUCKETS",
+           "SLOW_SETUP", "ACTIVE", "COMPLETED", "FAULTED"]

@@ -6,8 +6,9 @@ space of widget trees, bindings, cross-interpreter sends, and
 mid-dispatch destroys is far larger than any hand-written example
 covers.  This package grows scenarios systematically instead:
 
-* :mod:`repro.fuzz.gen` — seeded scenario generation (steps are
-  journal inputs, so every scenario is journal-serializable);
+* :mod:`repro.fuzz.gen` — seeded scenario generation (a scenario is
+  a :class:`~repro.obs.session.SessionSpec`, the journal header plus
+  its inputs, so every scenario is journal-serializable);
 * :mod:`repro.fuzz.runner` — drives scenarios through the real
   ``TkApp``/``XServer`` stack under the session journal;
 * :mod:`repro.fuzz.oracles` — invariants checked after every step
@@ -22,12 +23,11 @@ CLI: ``python -m repro.fuzz --seed S --sessions N`` (deterministic),
 the regression corpus under ``tests/regress/``.
 """
 
-from .gen import Scenario, generate_scenario
+from .gen import generate_scenario
 from .oracles import Violation
 from .plants import PLANTS, plant
-from .runner import FuzzResult, run_scenario, scenario_from_journal
+from .runner import FuzzResult, run_scenario
 from .shrink import shrink_scenario
 
-__all__ = ["Scenario", "generate_scenario", "Violation", "PLANTS",
-           "plant", "FuzzResult", "run_scenario",
-           "scenario_from_journal", "shrink_scenario"]
+__all__ = ["generate_scenario", "Violation", "PLANTS", "plant",
+           "FuzzResult", "run_scenario", "shrink_scenario"]

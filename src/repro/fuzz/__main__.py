@@ -26,9 +26,10 @@ from typing import List, Optional
 
 from ..obs.journal import Journal
 from ..obs.replay import MODES, replay_all_modes
+from ..obs.session import SessionSpec
 from .gen import DEFAULT_LENGTH, generate_scenario
 from .plants import PLANTS, plant
-from .runner import run_scenario, scenario_from_journal
+from .runner import run_scenario
 from .shrink import DEFAULT_BUDGET, shrink_scenario
 
 
@@ -58,7 +59,8 @@ def _fuzz(args) -> int:
         failures += 1
         for violation in result.violations:
             print("    " + violation.format())
-        minimal = _shrink_and_save(scenario, result, plant_name, args)
+        minimal = _shrink_and_save(scenario, seed, result, plant_name,
+                                   args)
         if minimal is not None and args.save_repros:
             print("    repro: python -m repro.fuzz --repro %s" % minimal)
     if failures:
@@ -67,8 +69,8 @@ def _fuzz(args) -> int:
     return 1 if failures else 0
 
 
-def _shrink_and_save(scenario, result, plant_name: Optional[str],
-                     args) -> Optional[str]:
+def _shrink_and_save(scenario, seed: int, result,
+                     plant_name: Optional[str], args) -> Optional[str]:
     kinds = result.kinds()
     check_replay = "replay-divergence" in kinds
 
@@ -93,14 +95,13 @@ def _shrink_and_save(scenario, result, plant_name: Optional[str],
     os.makedirs(args.save_repros, exist_ok=True)
     label = plant_name or "-".join(sorted(final.kinds()))
     path = os.path.join(args.save_repros,
-                        "fuzz-%s-%d.journal" % (label, scenario.seed))
+                        "fuzz-%s-%d.journal" % (label, seed))
     final.journal.save(path)
     return path
 
 
 def _repro(args) -> int:
-    journal = Journal.load(args.repro)
-    scenario = scenario_from_journal(journal)
+    scenario = SessionSpec.from_journal(args.repro)
     with plant(scenario.planted):
         result = run_scenario(scenario)
     print(result.report())
@@ -123,7 +124,7 @@ def _regress(args) -> int:
     status = 0
     for path in paths:
         journal = Journal.load(path)
-        scenario = scenario_from_journal(journal)
+        scenario = SessionSpec.from_journal(journal)
         if scenario.planted:
             # A planted repro must still find its bug with the plant
             # re-armed — that is the regression it guards.

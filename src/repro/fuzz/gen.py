@@ -1,13 +1,14 @@
 """Seeded scenario generation for the adversarial session fuzzer.
 
-A :class:`Scenario` is a complete, self-contained session description:
-a step list (each step is exactly one journal *input* — see
+A scenario is a :class:`~repro.obs.session.SessionSpec`: a step list
+(each step is exactly one journal *input* — see
 :data:`repro.obs.journal.INPUT_KINDS`), the setup script, the ablation
-flags, an optional serialized fault plan, and the name of any armed
-planted bug.  Because steps are journal inputs, the journal a run
-records *is* the scenario's durable form: a checked-in regression
-artifact needs no side files, and ``python -m repro.fuzz --repro``
-rebuilds the scenario straight from a journal's header and inputs.
+config, an optional serialized fault plan, and the name of any armed
+planted bug.  That is the journal header plus the journal's inputs, so
+the journal a run records *is* the scenario's durable form: a
+checked-in regression artifact needs no side files, and ``python -m
+repro.fuzz --repro`` rebuilds the scenario straight from a journal
+with :meth:`SessionSpec.from_journal`.  The fleet runs the same specs.
 
 The generator (:func:`generate_scenario`) draws everything from one
 ``random.Random(seed)``: widget trees across every widget class,
@@ -18,8 +19,8 @@ timers, raw device input, event-loop pumps, clock advances, extra
 applications on the shared server, ablation-flag choices, and a
 randomized :class:`~repro.x11.faults.FaultPlan` spec layered over
 roughly half of all sessions.  The same seed always yields the same
-scenario, so a fuzzing campaign is reproducible from its seed list
-alone.
+scenario, whose ``source`` reads ``seed:N``, so a fuzzing campaign is
+reproducible from its seed list alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+from ..obs.session import SessionConfig, SessionSpec
 from ..widgets import WIDGET_TYPES
 
 #: Setup script evaluated in every application (main and extra): a
@@ -61,35 +63,6 @@ MAX_APPS = 3
 
 #: Default number of steps per generated scenario.
 DEFAULT_LENGTH = 40
-
-
-class Scenario:
-    """One fuzz session: seeded steps plus the journal-header config."""
-
-    def __init__(self, seed: int, steps: List[Tuple[str, list]],
-                 setup_script: str = SETUP_SCRIPT,
-                 flags: Optional[dict] = None,
-                 fault_spec: Optional[dict] = None,
-                 planted: Optional[str] = None,
-                 name: str = "fuzz"):
-        self.seed = seed
-        self.steps = [(kind, list(args)) for kind, args in steps]
-        self.setup_script = setup_script
-        self.flags = dict(flags or {})
-        self.fault_spec = fault_spec
-        self.planted = planted
-        self.name = name
-
-    def with_steps(self, steps: List[Tuple[str, list]]) -> "Scenario":
-        """The same session configuration over a different step list
-        (the shrinker's candidate constructor)."""
-        return Scenario(self.seed, steps, self.setup_script, self.flags,
-                        self.fault_spec, self.planted, self.name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<Scenario seed=%d steps=%d faults=%s planted=%s>" % (
-            self.seed, len(self.steps),
-            "yes" if self.fault_spec else "no", self.planted)
 
 
 def _fault_spec(rng: random.Random) -> Optional[dict]:
@@ -136,7 +109,7 @@ def _fault_spec(rng: random.Random) -> Optional[dict]:
     return spec
 
 
-def _flags(rng: random.Random) -> dict:
+def _config(rng: random.Random) -> SessionConfig:
     flags = {}
     if rng.random() < 0.2:
         flags["cache_enabled"] = False
@@ -146,7 +119,7 @@ def _flags(rng: random.Random) -> dict:
         flags["buffering_enabled"] = False
     if rng.random() < 0.2:
         flags["bytecode_enabled"] = False
-    return flags
+    return SessionConfig(**flags)
 
 
 class _Generator:
@@ -336,11 +309,11 @@ _STEP_MIX = (
 
 def generate_scenario(seed: int, length: int = DEFAULT_LENGTH,
                       name: str = "fuzz",
-                      planted: Optional[str] = None) -> Scenario:
+                      planted: Optional[str] = None) -> SessionSpec:
     """The scenario for ``seed``: same seed, same scenario, always."""
     rng = random.Random(seed)
     fault_spec = _fault_spec(rng)
-    flags = _flags(rng)
+    config = _config(rng)
     generator = _Generator(rng, name)
     makers = [maker for maker, weight in _STEP_MIX for _ in range(weight)]
     # Always open with a widget so early input steps land on something.
@@ -349,10 +322,11 @@ def generate_scenario(seed: int, length: int = DEFAULT_LENGTH,
         getattr(generator, rng.choice(makers))()
     # A closing pump lets pending timers/sends settle on the record.
     generator.steps.append(("update", [name]))
-    return Scenario(seed, generator.steps[:length + 1],
-                    setup_script=SETUP_SCRIPT, flags=flags,
-                    fault_spec=fault_spec, planted=planted, name=name)
+    return SessionSpec(generator.steps[:length + 1],
+                       setup_script=SETUP_SCRIPT, config=config,
+                       fault_spec=fault_spec, planted=planted, name=name,
+                       source="seed:%d" % seed)
 
 
-__all__ = ["Scenario", "generate_scenario", "SETUP_SCRIPT",
+__all__ = ["generate_scenario", "SETUP_SCRIPT",
            "ALL_CLASSES", "BIND_SEQUENCES", "MAX_APPS", "DEFAULT_LENGTH"]

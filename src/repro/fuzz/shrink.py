@@ -13,27 +13,29 @@ Removing steps is always safe: steps are independent journal inputs,
 and the executor tolerates references to things an earlier (now
 removed) step would have created — a stale widget path is a TclError
 routed to ``bgerror``, an eval for a never-created app falls back to
-the main one.  Each candidate runs with the same setup script, flags,
-fault spec, and plant as the original, so the *session* stays fixed
-while the *steps* shrink.
+the main one.  Each candidate is the original
+:class:`~repro.obs.session.SessionSpec` with only its steps replaced,
+so the setup script, config, fault spec and plant stay fixed while the
+*steps* shrink.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Set, Tuple
 
-from .gen import Scenario
+from ..obs.session import SessionSpec
 from .runner import FuzzResult
 
 #: Default cap on candidate re-runs per shrink.
 DEFAULT_BUDGET = 400
 
 
-def shrink_scenario(scenario: Scenario, kinds: Set[str],
-                    run: Callable[[Scenario], FuzzResult],
+def shrink_scenario(scenario: SessionSpec, kinds: Set[str],
+                    run: Callable[[SessionSpec], FuzzResult],
                     first_step=None,
                     budget: int = DEFAULT_BUDGET
-                    ) -> Tuple[Scenario, int]:
+                    ) -> Tuple[SessionSpec, int]:
     """Minimize ``scenario.steps`` while ``run`` still violates.
 
     ``kinds`` is the set of violation kinds that count as "still
@@ -50,7 +52,7 @@ def shrink_scenario(scenario: Scenario, kinds: Set[str],
         if runs[0] >= budget:
             return False
         runs[0] += 1
-        result = run(scenario.with_steps(steps))
+        result = run(replace(scenario, steps=steps))
         return bool(kinds & result.kinds())
 
     steps = list(scenario.steps)
@@ -86,7 +88,7 @@ def shrink_scenario(scenario: Scenario, kinds: Set[str],
         if fails(candidate):
             steps = candidate
 
-    return scenario.with_steps(steps), runs[0]
+    return replace(scenario, steps=steps), runs[0]
 
 
 __all__ = ["shrink_scenario", "DEFAULT_BUDGET"]

@@ -37,8 +37,6 @@ import json
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .session import SessionConfig
-
 #: Default capacity of the in-memory entry ring.
 JOURNAL_RING = 65536
 
@@ -113,26 +111,13 @@ class Journal:
 
     # -- recording ------------------------------------------------------
 
-    def set_header(self, name: str = "", script: str = "",
-                   config: Optional[SessionConfig] = None,
-                   fault_plan: Optional[dict] = None,
-                   planted: Optional[str] = None) -> None:
-        """Record session metadata; embedded so journals are
-        self-contained (a replay rebuilds the application from the
-        header's script and ``config`` flags, and re-installs the
-        header's fault plan so injected faults replay deterministically).
-        ``planted`` names a test-only planted bug
-        (:mod:`repro.fuzz.plants`) that must be active for the journal
-        to reproduce."""
-        self.meta = {
-            "k": "header", "v": FORMAT_VERSION, "name": name,
-            "script": script,
-            "flags": (config or SessionConfig()).to_flags(),
-        }
-        if fault_plan is not None:
-            self.meta["fault_plan"] = fault_plan
-        if planted is not None:
-            self.meta["planted"] = planted
+    def set_header(self, spec) -> None:
+        """Record the session's description as the header: the
+        :meth:`~repro.obs.session.SessionSpec.header` of ``spec``.
+        Journals are self-contained: a replay rebuilds the session
+        from the header (script, ``flags``, fault plan, planted bug)
+        and re-injects the inputs."""
+        self.meta = spec.header()
         if self._sink is not None:
             self._sink.write(_encode(self.meta) + "\n")
 

@@ -1,19 +1,22 @@
 """Deterministic replay of recorded sessions, with wire diffing.
 
 A journal recorded by :mod:`repro.obs.journal` contains two things a
-replay needs: the session *inputs* (injected pointer/key events, event
--loop pumps, clock advances, top-level script evaluations) and the
-resulting *wire stream* (every request that reached the server, in
-order).  :func:`replay_journal` rebuilds the application from the
-journal header — fresh :class:`~repro.x11.xserver.XServer`, the
-header's :class:`~repro.obs.session.SessionConfig`, the recorded
-setup script — re-injects the recorded inputs, and diffs the wire
-stream of the replay against the recording.  Recording
-(:func:`record_session`, the fuzz runner, a recording fleet session)
-and replay execute inputs through the one
-:class:`~repro.obs.session.Session` executor, so the two sides share
-their error semantics by construction; this module adds only the
-journal plumbing and the diff.  Because every clock in the simulator
+replay needs: the session *description* (the header plus the inputs:
+injected pointer/key events, event-loop pumps, clock advances,
+top-level script evaluations — together a
+:class:`~repro.obs.session.SessionSpec`) and the resulting *wire
+stream* (every request that reached the server, in order).
+:func:`replay_journal` reads the spec back with
+:meth:`SessionSpec.from_journal`, launches it on a fresh
+:class:`~repro.x11.xserver.XServer` through the same
+:meth:`Session.launch <repro.obs.session.Session.launch>` that
+recording (:func:`record_session`, ``wish --journal``, the fuzz runner,
+a recording fleet session) uses, re-injects the inputs through the one
+:meth:`Session.apply <repro.obs.session.Session.apply>` executor, and
+diffs the wire stream of the replay against the recording.  So the
+two sides install the same fault plan, write their header from the
+same kind of object and share their error semantics by construction;
+this module adds only the diff.  Because every clock in the simulator
 is virtual, a faithful implementation replays with **zero
 divergence**, which turns any captured session (a bug report, a perf
 regression, the checked-in golden session under ``examples/``) into a
@@ -43,8 +46,8 @@ import sys
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .journal import Journal
-from .session import Session, SessionConfig
+from .journal import JOURNAL_RING, Journal
+from .session import Session, SessionConfig, SessionSpec
 
 #: Request types the resource cache (§3.3) exists to eliminate — the
 #: expected wire delta of replaying a capture with ``cache_enabled``
@@ -66,8 +69,6 @@ BUFFER_REQUESTS = frozenset((
 #: request types the ablation is allowed to perturb).
 #:
 #: * ``exact``    — request streams must match element for element;
-#: * ``filtered`` — streams must match after removing the allowed
-#:   types (whose counts become the expected delta);
 #: * ``counts``   — per-type totals must match outside the allowed
 #:   types (ordering is the ablation's to change).
 MODES: Dict[str, dict] = {
@@ -123,11 +124,6 @@ class ReplayResult:
         if compare == "counts":
             self.matched = not self.unexpected_delta and not truncated
         else:
-            if compare == "filtered":
-                recorded = [op for op in recorded
-                            if op[0] not in allowed]
-                replayed = [op for op in replayed
-                            if op[0] not in allowed]
             self.first_divergence = _first_divergence(recorded, replayed)
             self.matched = self.first_divergence is None and not truncated
             if self.first_divergence is not None:
@@ -226,39 +222,6 @@ def _context(recorded: List[Tuple], replayed: List[Tuple],
 # recording
 # ----------------------------------------------------------------------
 
-def start_recording(server, name: str = "session", script: str = "",
-                    config: Optional[SessionConfig] = None,
-                    sink: Optional[str] = None,
-                    maxlen: Optional[int] = None,
-                    fault_plan=None,
-                    planted: Optional[str] = None) -> Journal:
-    """Attach a fresh recording journal to ``server`` and return it.
-
-    ``config`` is written to the header's ``flags``.  ``fault_plan``
-    may be a live :class:`~repro.x11.faults.FaultPlan` (installed on
-    the server and serialized into the header) or an
-    already-serialized spec dict (embedded verbatim; the caller
-    installed the plan).  ``planted`` names the active test-only
-    planted bug, if any, so regression journals know what to arm.
-    """
-    from .journal import JOURNAL_RING
-    fault_spec = None
-    if fault_plan is not None:
-        if isinstance(fault_plan, dict):
-            fault_spec = fault_plan
-        else:
-            fault_spec = fault_plan.to_spec()
-            server.install_fault_plan(fault_plan)
-    journal = Journal(clock=lambda: server.time_ms,
-                      maxlen=maxlen if maxlen is not None
-                      else JOURNAL_RING, sink=sink)
-    journal.set_header(name=name, script=script, config=config,
-                       fault_plan=fault_spec, planted=planted)
-    journal.open_sink()
-    server.attach_journal(journal)
-    return journal
-
-
 def record_session(script: str, steps: List[Tuple],
                    name: str = "session",
                    config: Optional[SessionConfig] = None,
@@ -273,36 +236,40 @@ def record_session(script: str, steps: List[Tuple],
     ``("press_key", "a")``, ``("update",)``, ``("eval", tclscript)``,
     ``("new_app", name, setupscript)`` — recording everything.  The
     ``update``, ``advance`` and ``eval`` steps target the session's
-    application, whose name the journal records.  Steps run through
-    the same :class:`~repro.obs.session.Session` executor that
-    :func:`replay_journal` uses, with no error sink: an exception in
-    setup or in a step surfaces to the caller.  The one exception is
-    a header fault plan killing construction, which records a session
-    with no application.
+    application, whose name the journal records.  ``fault_plan`` is a
+    :class:`~repro.x11.faults.FaultPlan`; the session installs the
+    plan its :meth:`~FaultPlan.to_spec` describes, exactly as the
+    replay will.  The steps become a
+    :class:`~repro.obs.session.SessionSpec` launched like every other
+    session, with no error sink: an exception in setup or in a step
+    surfaces to the caller.  The one exception is a header fault plan
+    killing construction, which records a session with no application.
     """
     from ..x11.xserver import XProtocolError, XServer
 
-    server = XServer()
-    journal = start_recording(server, name=name, script=script,
-                              config=config, sink=sink,
-                              fault_plan=fault_plan, planted=planted)
-    session = Session(server, config, journal=journal)
+    inputs = []
+    for kind, *args in steps:
+        if kind in ("update", "advance", "eval"):
+            args.append(name)
+        inputs.append((kind, args))
+    spec = SessionSpec(
+        inputs, setup_script=script,
+        config=config if config is not None else SessionConfig(),
+        fault_spec=fault_plan.to_spec() if fault_plan is not None
+        else None,
+        planted=planted, name=name)
+    session = Session(XServer(), spec)
     try:
         try:
-            session.start(name, script)
+            session.launch(ring=JOURNAL_RING, sink=sink)
         except XProtocolError:
-            if fault_plan is None:
+            if spec.fault_spec is None:
                 raise
-        for step in steps:
-            kind, args = step[0], list(step[1:])
-            if kind in ("update", "advance", "eval"):
-                args.append(name)
+        for kind, args in spec.steps:
             session.apply(kind, args)
     finally:
-        server.detach_journal()
-        journal.close_sink()
         session.close()
-    return journal
+    return session.journal
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +295,11 @@ def replay_journal(journal: Journal, mode: str = "default",
     transport-invariant, so a journal recorded in-process must replay
     cleanly over a socket.
 
-    If the header embeds a serialized fault plan, an identical plan is
-    installed on the fresh server before the application is built, so
-    recorded faults re-fire at the same request ticks.  The result
+    The replay launches the :class:`~repro.obs.session.SessionSpec`
+    the journal records, with the mode's flags applied, so the fault
+    plan the header embeds is installed before the application is
+    built and recorded faults re-fire at the same request ticks, and
+    the replay's header is written from that spec.  The result
     carries the replay's own journal at ``result.replay_log`` (the
     byte-identity oracle compares ``to_jsonl()`` of both sides) and
     the session's error sink at ``result.swallowed``.  A header whose
@@ -343,43 +312,29 @@ def replay_journal(journal: Journal, mode: str = "default",
         raise ValueError('unknown replay mode "%s" (choose from %s)'
                          % (mode, ", ".join(sorted(MODES))))
     policy = MODES[mode]
-    header = journal.meta or {}
-    config = replace(SessionConfig.from_header(header), **policy["flags"])
-    if script is None:
-        script = header.get("script") or ""
-    name = header.get("name") or "replay"
-    fault_spec = header.get("fault_plan")
-
+    recorded = SessionSpec.from_journal(journal)
+    spec = replace(recorded,
+                   config=replace(recorded.config, **policy["flags"]),
+                   setup_script=recorded.setup_script if script is None
+                   else script,
+                   transport=transport)
     server = XServer()
-    if fault_spec:
-        from ..x11.faults import FaultPlan
-        server.install_fault_plan(FaultPlan.from_spec(fault_spec))
-    replay_log = Journal(clock=lambda: server.time_ms,
-                         maxlen=max(journal.maxlen, len(journal) * 2))
-    # Pass the original spec dict through verbatim so a default-mode
-    # replay's header — and therefore its whole JSONL — can match the
-    # recording byte for byte.
-    replay_log.set_header(name=name, script=script, config=config,
-                          fault_plan=fault_spec,
-                          planted=header.get("planted"))
-    server.attach_journal(replay_log)
     swallowed: List[Tuple[str, BaseException]] = []
-    session = Session(server, config, transport=transport,
-                      journal=replay_log, errors=swallowed)
+    session = Session(server, spec, errors=swallowed)
     try:
         # A header fault plan can fire during construction itself; the
         # recording survived that, so the replay must too.
-        session.start(name, script, setup=setup)
-        for input_name, args in journal.inputs():
-            session.apply(input_name, args)
+        session.launch(ring=max(journal.maxlen, len(journal) * 2),
+                       setup=setup)
+        for kind, args in spec.steps:
+            session.apply(kind, args)
     finally:
-        server.detach_journal()
         session.close()
         shutdown_host(server)
-    result = ReplayResult(mode, journal.wire(), replay_log.wire(),
+    result = ReplayResult(mode, journal.wire(), session.journal.wire(),
                           policy["compare"], policy["allowed"],
                           truncated=journal.dropped > 0)
-    result.replay_log = replay_log
+    result.replay_log = session.journal
     result.swallowed = swallowed
     return result
 
@@ -446,5 +401,5 @@ if __name__ == "__main__":  # pragma: no cover
 
 
 __all__ = ["MODES", "CACHE_REQUESTS", "BUFFER_REQUESTS", "ReplayResult",
-           "start_recording", "record_session", "replay_journal",
+           "record_session", "replay_journal",
            "replay_all_modes", "main"]

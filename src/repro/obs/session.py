@@ -1,30 +1,50 @@
-"""One session: its configuration and the executor that drives it.
+"""One session: its description, its configuration and the executor
+that drives it.
 
-Everything that runs a session from journal inputs drives a
-:class:`Session`: recording (:func:`repro.obs.replay.record_session`),
-replay (:func:`~repro.obs.replay.replay_journal`, and ``wish
---replay`` through it), the fuzz runner and the fleet harness.  A
-session holds a server, a :class:`SessionConfig`, a transport, the
-applications it built, an optional journal, a pump budget and an
-error sink.  Because every driver executes inputs through the same
-:meth:`Session.apply`, a recording and its replay cannot drift apart.
+A :class:`SessionSpec` is the one description of a session: its inputs
+(journal inputs, see :data:`repro.obs.journal.INPUT_KINDS`), the setup
+script, the :class:`SessionConfig`, an optional serialized fault plan,
+the name of an armed planted bug and the main application's name.  It
+*is* a journal header plus the journal's inputs:
+:meth:`SessionSpec.header` is the header a recording of it writes, and
+:meth:`SessionSpec.from_journal` reads both back.  A golden capture, a
+generated fuzz scenario and a fleet session are therefore one kind of
+object.  The fleet's three extra fields (where the spec came from, how
+its displays reach the server, where a session saves its own
+recording) stay out of the header.
 
-A :class:`SessionConfig` is the frozen set of ablation tiers a
-session runs under.  It builds the session's ``Interp``/``TkApp``
-pairs and is the only reader and writer of a journal header's
-``flags`` dict.
+Everything that runs a session drives a :class:`Session` and starts it
+with :meth:`Session.launch`: recording
+(:func:`repro.obs.replay.record_session`, ``wish --journal``), replay
+(:func:`~repro.obs.replay.replay_journal`, and ``wish --replay``
+through it), the fuzz runner and the fleet harness.  Launch installs
+the spec's fault plan, attaches the recording journal with the spec's
+header and builds the main application, in that order; every input
+then runs through the same :meth:`Session.apply`.  So a recording and
+its replay write their header from the same kind of object and execute
+their inputs the same way, by construction.
+
+A :class:`SessionConfig` is the frozen set of ablation tiers a session
+runs under.  It builds the session's ``Interp``/``TkApp`` pairs and is
+the only reader and writer of a journal header's ``flags`` dict.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from .journal import FORMAT_VERSION, JOURNAL_RING, Journal
 
 #: Input kinds the session journals itself; raw device inputs
 #: (``warp_pointer``, ``press_key``, ...) are journaled by the
 #: server's own hooks.
 LOOP_KINDS = ("update", "advance", "eval", "new_app")
+
+#: Journal ring for fuzz and recording fleet sessions: large enough
+#: that none wraps (a wrapped ring cannot replay-verify).
+RECORD_RING = 262144
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,98 @@ class SessionConfig:
                      transport=transport)
 
 
+@dataclass(frozen=True)
+class SessionSpec:
+    """The one description of a session: a journal header plus the
+    journal's inputs (see the module docstring)."""
+
+    #: the inputs, in order: ``(kind, args)`` journal inputs
+    steps: Sequence[Tuple[str, list]] = ()
+    #: evaluated in the main application when it is built
+    setup_script: str = ""
+    #: the ablation tiers (the header's ``flags``)
+    config: SessionConfig = SessionConfig()
+    #: a serialized :class:`~repro.x11.faults.FaultPlan`, installed at
+    #: launch so seeded and scripted faults fire at the same ticks
+    fault_spec: Optional[dict] = None
+    #: the test-only planted bug (:mod:`repro.fuzz.plants`) that must
+    #: be armed for the session to reproduce
+    planted: Optional[str] = None
+    #: the main application's send name
+    name: str = "session"
+    #: where the spec came from -- a journal path or ``seed:N``; the
+    #: fleet's top-N report prints it as the reproduction handle
+    source: str = ""
+    #: how the session's displays reach the server: None /
+    #: ``"loopback"``, ``"socket"`` or a factory (see
+    #: :func:`repro.x11.transport.resolve_transport`); the wire is
+    #: transport-invariant, so the header does not record it
+    transport: object = None
+    #: when set, a fleet session records its own journal and saves it
+    #: here at completion (the outlier-repro path)
+    record_path: Optional[str] = None
+
+    @classmethod
+    def from_journal(cls, journal) -> "SessionSpec":
+        """The session ``journal`` records: header fields plus inputs.
+
+        ``journal`` is a :class:`~repro.obs.journal.Journal` or the
+        path of a saved one (the path is then the ``source``).  Header
+        ``flags`` that are malformed raise :class:`ValueError`.
+        """
+        source = ""
+        if isinstance(journal, str):
+            journal, source = Journal.load(journal), journal
+        header = journal.meta or {}
+        return cls(steps=journal.inputs(),
+                   setup_script=header.get("script") or "",
+                   config=SessionConfig.from_header(header),
+                   fault_spec=header.get("fault_plan"),
+                   planted=header.get("planted"),
+                   name=header.get("name") or "session",
+                   source=source)
+
+    def header(self) -> dict:
+        """The journal header a recording of this session writes."""
+        header = {"k": "header", "v": FORMAT_VERSION, "name": self.name,
+                  "script": self.setup_script,
+                  "flags": self.config.to_flags()}
+        if self.fault_spec is not None:
+            header["fault_plan"] = self.fault_spec
+        if self.planted is not None:
+            header["planted"] = self.planted
+        return header
+
+    @property
+    def solo(self) -> bool:
+        """Sessions that need a fleet server cell of their own.
+
+        A fault plan is installed per *server*, so a faulted spec must
+        not share (its faults would hit innocent neighbours); a
+        multi-application spec resolves peers by recorded name, which
+        only stays unambiguous on a private server; a recording spec's
+        journal must contain no neighbour traffic or it cannot replay
+        standalone.
+        """
+        return (self.fault_spec is not None
+                or self.record_path is not None
+                or any(kind == "new_app" for kind, _ in self.steps))
+
+
+def start_recording(server, spec: SessionSpec, sink: Optional[str] = None,
+                    maxlen: int = JOURNAL_RING) -> Journal:
+    """Attach a fresh recording journal with ``spec``'s header to
+    ``server`` and return it; ``sink`` streams every entry to a file
+    as it is recorded.  Installing the spec's fault plan is
+    :meth:`Session.launch`'s job, not this one's."""
+    journal = Journal(clock=lambda: server.time_ms, maxlen=maxlen,
+                      sink=sink)
+    journal.set_header(spec)
+    journal.open_sink()
+    server.attach_journal(journal)
+    return journal
+
+
 class Session:
     """Executes journal inputs against one server for one session.
 
@@ -111,15 +223,18 @@ class Session:
     cannot fire into each other's interpreters.
     """
 
-    def __init__(self, server, config: Optional[SessionConfig] = None,
-                 transport=None, journal=None, pump_budget: int = 0,
+    def __init__(self, server, spec: Optional[SessionSpec] = None,
+                 pump_budget: int = 0,
                  errors: Optional[List[Tuple[str, BaseException]]] = None):
         self.server = server
-        self.config = config if config is not None else SessionConfig()
-        self.transport = transport
-        self.journal = journal
+        #: what this session runs: its config, transport and main app
+        self.spec = spec if spec is not None else SessionSpec()
         self.pump_budget = pump_budget
         self.errors = errors
+        #: the recording journal :meth:`launch` attached, if any
+        self.journal = None
+        #: the fault plan :meth:`launch` installed, if any
+        self.plan = None
         self.apps: List = []
         self.main_app = None
         #: the application whose budgeted pump ran out with work left
@@ -134,12 +249,27 @@ class Session:
 
     # -- applications --------------------------------------------------
 
-    def start(self, name: str, script: str = "",
-              setup: Optional[Callable] = None):
-        """Build the main application, or let ``setup(session)`` build
-        it, and return it (None if setup failed into the sink)."""
+    def launch(self, ring: Optional[int] = None, sink: Optional[str] = None,
+               setup: Optional[Callable] = None):
+        """Start the spec's session; every driver starts one this way.
+
+        Installs the spec's fault plan, then (with ``ring`` set)
+        attaches a recording journal of ``ring`` entries carrying the
+        spec's header, streamed to ``sink`` if given, then builds the
+        main application: from the spec's name and setup script, or
+        by ``setup(session)`` for Python-driven sessions.  Returns the
+        main application (None if building it failed into the sink).
+        """
+        spec = self.spec
+        if spec.fault_spec:
+            from ..x11.faults import FaultPlan
+            self.plan = self.server.install_fault_plan(
+                FaultPlan.from_spec(spec.fault_spec))
+        if ring is not None:
+            self.journal = start_recording(self.server, spec, sink=sink,
+                                           maxlen=ring)
         if setup is None:
-            self.main_app = self.new_app(name, script)
+            self.main_app = self.new_app(spec.name, spec.setup_script)
             return self.main_app
         try:
             app = setup(self)
@@ -155,8 +285,8 @@ class Session:
         """Connect one more application: build it, evaluate its setup
         script, pump it once.  Returns None if that failed."""
         try:
-            app = self.config.build_app(self.server, name,
-                                        transport=self.transport)
+            app = self.spec.config.build_app(self.server, name,
+                                             transport=self.spec.transport)
             # Owned before its script runs: an application whose setup
             # script failed is still connected, so later inputs naming
             # it and teardown must still reach it.
@@ -178,8 +308,16 @@ class Session:
                     return app
         return self.main_app
 
+    def stop_recording(self) -> None:
+        """Detach this session's recording journal and close its sink."""
+        if self.journal is not None:
+            self.server.detach_journal()
+            self.journal.close_sink()
+
     def close(self) -> None:
-        """Destroy every application this session still owns."""
+        """Stop recording, then destroy every application this session
+        still owns (the teardown is not journaled)."""
+        self.stop_recording()
         for app in self.apps:
             if not app.destroyed:
                 try:
@@ -253,4 +391,5 @@ class Session:
         return True
 
 
-__all__ = ["SessionConfig", "Session", "LOOP_KINDS"]
+__all__ = ["SessionConfig", "SessionSpec", "Session", "start_recording",
+           "LOOP_KINDS", "RECORD_RING"]

@@ -147,12 +147,13 @@ def _journal(interp, obs, argv: List[str]) -> str:
             # journal (it may be a harness-attached background one).
             server.detach_journal()
             server.journal.close_sink()
-        from ...obs.replay import start_recording
-        from ...obs.session import SessionConfig
+        from ...obs.session import (SessionConfig, SessionSpec,
+                                    start_recording)
         app = getattr(interp, "tk_app", None)
         start_recording(
-            server, name=app.name if app is not None else "session",
-            config=SessionConfig.from_interp(interp), sink=sink)
+            server, SessionSpec(
+                name=app.name if app is not None else "session",
+                config=SessionConfig.from_interp(interp)), sink=sink)
         return ""
     journal = server.journal
     if journal is None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from ..obs.session import SessionConfig
+from ..obs.journal import JOURNAL_RING
+from ..obs.session import Session, SessionConfig, SessionSpec
 from ..tcl.errors import TclError
 from ..tcl.lists import format_list
 from ..x11.xserver import XServer
@@ -139,34 +140,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     if replay_file is not None:
         return _replay_main(replay_file, replay_modes or ["default"])
 
-    server = None
-    journal = None
-    script_text = ""
-    if journal_out is not None:
-        # Attach the journal before the shell exists so the recording
-        # covers application construction — the replay rebuilds the
-        # shell the same way, against its own fresh server.
-        from ..obs.replay import start_recording
-        from ..x11.xserver import XServer as _XServer
-        server = _XServer()
-        if script_file is not None:
-            with open(script_file, "r") as handle:
-                script_text = handle.read()
-        journal = start_recording(
-            server, name=name, script=script_text,
-            config=SessionConfig(bytecode_enabled=bytecode_enabled),
-            sink=journal_out)
-    shell = Wish(server=server, name=name, argv=argv,
-                 bytecode_enabled=bytecode_enabled)
+    script = None
+    if script_file is not None:
+        with open(script_file, "r") as handle:
+            script = handle.read()
+    spec = SessionSpec(setup_script=script or "", name=name,
+                       config=SessionConfig(
+                           bytecode_enabled=bytecode_enabled))
+    session = Session(XServer(), spec)
+    shell = None
+
+    def setup(session):
+        nonlocal shell
+        shell = Wish(server=session.server, name=name, argv=argv,
+                     **session.spec.config.to_flags())
+        return shell.app
+
+    # With --journal the recording starts before the shell exists, so
+    # it covers application construction: the replay rebuilds the
+    # shell the same way, against its own fresh server.
+    session.launch(ring=JOURNAL_RING if journal_out is not None else None,
+                   sink=journal_out, setup=setup)
     obs = shell.app.obs
     if trace or metrics_out is not None:
         obs.tracer.start(wire=trace)
     try:
-        if script_file is not None:
-            if script_text:
-                shell.run_script(script_text)
-            else:
-                shell.run_file(script_file)
+        if script is not None:
+            shell.run_script(script)
             shell.mainloop()
         else:
             _interactive(shell)
@@ -175,9 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     finally:
         obs.tracer.stop()
-        if journal is not None:
-            shell.server.detach_journal()
-            journal.close_sink()
+        session.stop_recording()
         if trace:
             sys.stderr.write(obs.tracer.format_tree() + "\n")
         if metrics_out is not None:
@@ -193,9 +191,8 @@ def _replay_main(path: str, modes: List[str]) -> int:
     from ..obs.replay import MODES, replay_journal
 
     journal = Journal.load(path)
-    header = journal.meta or {}
     try:
-        SessionConfig.from_header(header)
+        SessionConfig.from_header(journal.meta)
     except ValueError as error:
         sys.stderr.write("wish: %s: bad journal header: %s\n"
                          % (path, error))
@@ -209,11 +206,11 @@ def _replay_main(path: str, modes: List[str]) -> int:
             return 2
 
         def setup(session):
-            shell = Wish(server=session.server,
-                         name=header.get("name") or "wish",
+            spec = session.spec
+            shell = Wish(server=session.server, name=spec.name,
                          stdout=_io.StringIO(),
-                         **session.config.to_flags())
-            script = header.get("script") or ""
+                         **spec.config.to_flags())
+            script = spec.setup_script
             if script:
                 shell.run_script(script)
             else:

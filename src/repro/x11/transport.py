@@ -73,7 +73,8 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from . import wire
-from .xserver import XConnectionLost, XProtocolError, XServer
+from .xserver import (XConnectionLost, XProtocolError, XServer,
+                      lost_if_closed)
 from ..obs import trace as _trace
 
 __all__ = [
@@ -263,10 +264,11 @@ class LoopbackTransport(Transport):
             try:
                 result = getattr(server, name)(*args, **kwargs)
             except XProtocolError as error:
+                error = lost_if_closed(self.client, error)
                 self._count_in(wire.ERROR, wire.error_value(error))
                 self._observe_rtt(started, wall)
                 self._scrub_if_closed()
-                raise
+                raise error
             self._count_in(wire.REPLY, result)
             self._observe_rtt(started, wall)
             self._scrub_if_closed()
@@ -288,9 +290,10 @@ class LoopbackTransport(Transport):
             try:
                 getattr(server, name)(*args, **kwargs)
             except XProtocolError as error:
+                error = lost_if_closed(self.client, error)
                 self._count_in(wire.ERROR, wire.error_value(error))
                 self._scrub_if_closed()
-                raise
+                raise error
             self._count_in(wire.ONEWAY_ACK, None)
             self._scrub_if_closed()
         finally:
@@ -701,13 +704,15 @@ class ServerHost:
                 name, _window, args, kwargs = value
                 self._handler(name)(*args, **kwargs)
                 reply = wire.encode_frame(wire.ONEWAY_ACK, None)
-        except XConnectionLost as error:
-            conn.lost_sent = True
-            conn.send_error(error)
-            conn.flush_writes()
-            conn.close()
         except XProtocolError as error:
-            conn.send_error(error)
+            error = lost_if_closed(conn.client, error)
+            if isinstance(error, XConnectionLost):
+                conn.lost_sent = True
+                conn.send_error(error)
+                conn.flush_writes()
+                conn.close()
+            else:
+                conn.send_error(error)
         except Exception as error:
             conn.send_error(XProtocolError(
                 "BadRequest: %s failed: %s: %s"

@@ -76,6 +76,23 @@ class XConnectionLost(XProtocolError):
     """
 
 
+def _batch_lost(delivered: int, total: int) -> XConnectionLost:
+    return XConnectionLost("connection to X server lost (batch aborted "
+                           "after %d of %d requests)" % (delivered, total))
+
+
+def lost_if_closed(client, error: XProtocolError) -> XProtocolError:
+    """The error a failed request of ``client`` surfaces.
+
+    A fault plan can close the connection at the request's own tick;
+    the request then fails on the client's destroyed windows.  The
+    lost connection is the error, not the ``BadWindow`` it caused.
+    """
+    if client.closed and not isinstance(error, XConnectionLost):
+        return XConnectionLost("connection to X server lost")
+    return error
+
+
 class Client:
     """One connected application's view of the server."""
 
@@ -466,7 +483,10 @@ class XServer:
         delivery order, exactly as they would for unbuffered requests.
 
         A client disconnected mid-batch (e.g. by a fault plan) aborts
-        the remainder with :class:`XConnectionLost`.  An ordinary
+        the remainder with :class:`XConnectionLost`; so does a request
+        that fails after the plan closed its connection at the
+        request's own tick (it failed on the client's destroyed
+        windows: the lost connection is the error).  An ordinary
         protocol error from one request does not abort the rest — on a
         real wire the later requests were already written and the
         server processes them — but the first error is re-raised once
@@ -493,9 +513,7 @@ class XServer:
         try:
             for name, _window, args, kwargs in ops:
                 if client.closed:
-                    raise XConnectionLost(
-                        "connection to X server lost (batch aborted after "
-                        "%d of %d requests)" % (delivered, len(ops)))
+                    raise _batch_lost(delivered, len(ops))
                 if self._jrec is not None:
                     from ..obs.journal import args_digest
                     self._jwindow = _window
@@ -505,6 +523,8 @@ class XServer:
                 except XConnectionLost:
                     raise
                 except XProtocolError as error:
+                    if client.closed:
+                        raise _batch_lost(delivered, len(ops)) from error
                     if first_error is None:
                         first_error = error
                 delivered += 1

@@ -30,6 +30,7 @@ _JOURNAL_DIR = os.environ.get("REPRO_JOURNAL_DIR")
 
 if _JOURNAL_DIR:
     from repro.obs.journal import Journal
+    from repro.obs.session import SessionSpec
     from repro.x11.xserver import XServer
 
     #: servers created by the currently running test
@@ -39,7 +40,7 @@ if _JOURNAL_DIR:
     def _journaling_init(self, *args, **kwargs):
         _original_init(self, *args, **kwargs)
         journal = Journal(clock=lambda: self.time_ms, maxlen=4096)
-        journal.set_header(name="pytest")
+        journal.set_header(SessionSpec(name="pytest"))
         self.attach_journal(journal)
         _servers.append(self)
 

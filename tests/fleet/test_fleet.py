@@ -1,6 +1,7 @@
 """Tests for the fleet load generator (repro.fleet)."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -59,7 +60,8 @@ class TestDoEvents:
 
 class TestSessionSpec:
     def test_from_seed_is_a_fuzz_scenario(self):
-        spec = SessionSpec.from_seed(17)
+        spec = generate_scenario(17)
+        assert isinstance(spec, SessionSpec)
         assert spec.steps
         assert spec.source == "seed:17"
 
@@ -79,19 +81,33 @@ class TestSessionSpec:
         assert recording.solo
 
     def test_planted_bugs_never_armed(self, tmp_path):
+        """The spec keeps the journal's planted bug, but the fleet runs
+        the shipping code: a recording fleet session built from it
+        neither arms the plant nor claims it in its header."""
         path = tmp_path / "planted.journal"
         journal = Journal()
-        journal.set_header(name="p", script="", planted="registry_leak")
+        journal.set_header(SessionSpec(name="p", planted="registry_leak"))
+        journal.input("update", ["p"])
         journal.save(str(path))
         spec = SessionSpec.from_journal(str(path))
-        assert spec.flags.get("planted") is None
+        assert spec.planted == "registry_leak"
+        record = str(tmp_path / "fleet.journal")
+        session = FleetSession("s000", replace(spec, record_path=record),
+                               XServer())
+        session.launch()
+        while session.step():
+            pass
+        session.finish()
+        header = Journal.load(record).meta
+        assert "planted" not in header
+        assert header == replace(spec, planted=None).header()
 
     def test_malformed_journal_flags_refuse_the_spec(self, tmp_path,
                                                       capsys):
         from repro.fleet.__main__ import main
         path = tmp_path / "bad.journal"
         journal = Journal()
-        journal.set_header(name="bad")
+        journal.set_header(SessionSpec(name="bad"))
         journal.meta["flags"]["vm_enabled"] = False
         journal.save(str(path))
         with pytest.raises(ValueError, match="vm_enabled"):
@@ -138,7 +154,7 @@ class TestDriver:
 
     def test_session_gauges_reach_terminal_states(self):
         specs = [simple_spec("app0"),
-                 SessionSpec.from_seed(5000032)]
+                 generate_scenario(5000032)]
         result = FleetDriver(specs, ping_every=0).run()
         registry = result.registry
         assert registry.value("fleet.sessions", state="active") == 0
@@ -253,7 +269,7 @@ class TestSlowSession:
         recording's shifted by the launch time.  (Seeds 100-107 with a
         149 ms delay diverged before the jumps were journaled.)"""
         path = str(tmp_path / "slow.journal")
-        specs = [SessionSpec.from_seed(100 + index) for index in range(8)]
+        specs = [generate_scenario(100 + index) for index in range(8)]
         specs.append(make_slow_spec(path, delay_ms=149))
         FleetDriver(specs, ping_every=4, seed=1).run()
         recorded = Journal.load(path)
@@ -286,10 +302,9 @@ class TestExecutorEquivalence:
     def test_recording_fleet_session_matches_fuzz_journal(self, seed,
                                                           tmp_path):
         fuzz = run_scenario(generate_scenario(seed), check_replay=False)
-        assert fuzz.steps_run == len(fuzz.scenario.steps)
+        assert fuzz.steps_run == len(fuzz.spec.steps)
         path = str(tmp_path / "fleet.journal")
-        spec = SessionSpec.from_seed(seed)
-        spec.record_path = path
+        spec = replace(generate_scenario(seed), record_path=path)
         session = FleetSession("s000", spec, XServer())
         session.launch()
         while session.step():

@@ -7,15 +7,17 @@ regression corpus under ``tests/regress/``.
 
 import glob
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.fuzz import (PLANTS, generate_scenario, plant, run_scenario,
-                        scenario_from_journal, shrink_scenario)
+                        shrink_scenario)
 from repro.fuzz.__main__ import derive_seed, main
-from repro.fuzz.gen import SETUP_SCRIPT, Scenario
+from repro.fuzz.gen import SETUP_SCRIPT
 from repro.fuzz.oracles import classify_swallowed
 from repro.obs.journal import Journal
+from repro.obs.session import SessionSpec
 from repro.tcl.errors import TclError
 from repro.x11.xserver import XProtocolError
 
@@ -27,9 +29,9 @@ REGRESS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
 SELECTION_SEED = 11023807
 
 
-def _scenario(steps, planted=None, seed=0):
-    return Scenario(seed=seed, steps=steps, setup_script=SETUP_SCRIPT,
-                    planted=planted)
+def _scenario(steps, planted=None):
+    return SessionSpec(steps, setup_script=SETUP_SCRIPT, planted=planted,
+                       name="fuzz")
 
 
 class TestDeterminism:
@@ -38,7 +40,7 @@ class TestDeterminism:
         second = generate_scenario(1234)
         assert first.steps == second.steps
         assert first.fault_spec == second.fault_spec
-        assert first.flags == second.flags
+        assert first.config == second.config
 
     def test_different_seeds_differ(self):
         assert generate_scenario(1).steps != generate_scenario(2).steps
@@ -136,7 +138,7 @@ class TestShrinker:
         minimal, _ = shrink_scenario(scenario, result.kinds(), rerun,
                                      first_step=result.first_step())
         assert minimal.fault_spec == scenario.fault_spec
-        assert minimal.flags == scenario.flags
+        assert minimal.config == scenario.config
         assert minimal.planted == scenario.planted
 
 
@@ -144,16 +146,16 @@ class TestJournalRoundTrip:
     def test_scenario_from_journal_is_inverse(self):
         scenario = generate_scenario(42, length=15)
         result = run_scenario(scenario)
-        rebuilt = scenario_from_journal(result.journal)
-        assert rebuilt.steps == scenario.steps[:result.steps_run]
-        assert rebuilt.setup_script == scenario.setup_script
-        assert rebuilt.fault_spec == scenario.fault_spec
+        rebuilt = SessionSpec.from_journal(result.journal)
+        assert result.steps_run == len(scenario.steps)
+        # every field but the source (seed:42) is in the journal
+        assert replace(rebuilt, source=scenario.source) == scenario
         assert rebuilt.planted is None
 
     def test_rebuilt_scenario_rerecords_identically(self):
         scenario = generate_scenario(42, length=15)
         result = run_scenario(scenario)
-        again = run_scenario(scenario_from_journal(result.journal))
+        again = run_scenario(SessionSpec.from_journal(result.journal))
         assert again.journal.to_jsonl() == result.journal.to_jsonl()
 
     def test_planted_name_rides_in_header(self):
@@ -162,7 +164,7 @@ class TestJournalRoundTrip:
             result = run_scenario(_scenario(steps,
                                             planted="registry_leak"))
         assert result.journal.meta["planted"] == "registry_leak"
-        assert scenario_from_journal(result.journal).planted \
+        assert SessionSpec.from_journal(result.journal).planted \
             == "registry_leak"
 
 

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.obs.journal import FORMAT_VERSION, Journal
-from repro.obs.replay import record_session, start_recording
-from repro.obs.session import SessionConfig
+from repro.obs.replay import record_session
+from repro.obs.session import SessionConfig, SessionSpec, start_recording
 from repro.tk import TkApp
 from repro.x11 import XServer
 from repro.x11.faults import FaultPlan
@@ -33,7 +33,7 @@ STEPS = [
 
 class TestHooks:
     def test_requests_and_batches_recorded(self, server, app):
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         app.interp.eval("button .b -text hi\npack append . .b {top}")
         app.update()
         server.detach_journal()
@@ -45,7 +45,7 @@ class TestHooks:
         assert "batch" in wire
 
     def test_round_trips_recorded(self, server, app):
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         app.display.sync()
         server.detach_journal()
         assert journal.counts().get("rt", 0) >= 1
@@ -53,7 +53,7 @@ class TestHooks:
     def test_inputs_recorded_with_arguments(self, server, app):
         app.interp.eval("button .b -text hi\npack append . .b {top}")
         app.update()
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         click(server, app, ".b")
         server.detach_journal()
         inputs = journal.inputs()
@@ -62,7 +62,7 @@ class TestHooks:
         assert press == [[1, 0]]
 
     def test_request_attributed_to_client(self, server, app):
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         app.display.intern_atom("JOURNAL_TEST")
         server.detach_journal()
         requests = [entry for entry in journal.entries()
@@ -75,7 +75,7 @@ class TestHooks:
         plan = FaultPlan()
         plan.fail_request(name="intern_atom", error="BadAtom")
         server.install_fault_plan(plan)
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         with pytest.raises(Exception):
             app.display.intern_atom("DOOMED")
         server.detach_journal()
@@ -86,7 +86,7 @@ class TestHooks:
     def test_send_rpc_recorded(self, server, app):
         peer = TkApp(server, name="peer")
         try:
-            journal = start_recording(server, name="t")
+            journal = start_recording(server, SessionSpec(name="t"))
             app.sender.send("peer", "set x 1")
             server.detach_journal()
             sends = [entry for entry in journal.entries()
@@ -101,7 +101,7 @@ class TestHooks:
                 peer.destroy()
 
     def test_detach_stops_recording(self, server, app):
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         server.detach_journal()
         before = len(journal)
         app.display.intern_atom("AFTER_DETACH")
@@ -109,7 +109,7 @@ class TestHooks:
         assert journal.recording is False
 
     def test_virtual_timestamps_never_wall_time(self, server, app):
-        journal = start_recording(server, name="t")
+        journal = start_recording(server, SessionSpec(name="t"))
         app.interp.eval("frame .f")
         app.update()
         server.detach_journal()
@@ -153,7 +153,7 @@ class TestDeterminism:
 
 class TestRing:
     def test_ring_bounds_entries_and_counts_drops(self, server, app):
-        journal = start_recording(server, name="t", maxlen=10)
+        journal = start_recording(server, SessionSpec(name="t"), maxlen=10)
         for index in range(30):
             app.display.intern_atom("ATOM_%d" % index)
         server.detach_journal()
@@ -162,7 +162,7 @@ class TestRing:
 
     def test_sink_survives_ring_wrap(self, server, app, tmp_path):
         sink = tmp_path / "session.jsonl"
-        journal = start_recording(server, name="t", maxlen=5,
+        journal = start_recording(server, SessionSpec(name="t"), maxlen=5,
                                   sink=str(sink))
         for index in range(20):
             app.display.intern_atom("ATOM_%d" % index)
@@ -259,7 +259,7 @@ class TestTclCommand:
 
 class TestDroppedMetric:
     def test_ring_evictions_counted_on_server_registry(self, server, app):
-        start_recording(server, name="t", maxlen=10)
+        start_recording(server, SessionSpec(name="t"), maxlen=10)
         for index in range(30):
             app.display.intern_atom("ATOM_%d" % index)
         dropped = server.obs.metrics.value("obs.journal.dropped")
@@ -269,7 +269,7 @@ class TestDroppedMetric:
 
     def test_bind_seeds_from_prior_drops(self):
         journal = Journal(maxlen=2)
-        journal.set_header(name="t")
+        journal.set_header(SessionSpec(name="t"))
         journal.recording = True
         for index in range(5):
             journal.input("eval", ("x",))
@@ -282,7 +282,7 @@ class TestDroppedMetric:
         assert registry.value("obs.journal.dropped") == 4
 
     def test_unbounded_journal_never_drops(self, server, app):
-        start_recording(server, name="t")
+        start_recording(server, SessionSpec(name="t"))
         for index in range(30):
             app.display.intern_atom("ATOM_%d" % index)
         assert server.obs.metrics.value("obs.journal.dropped") == 0

@@ -228,7 +228,7 @@ class TestSessionConfig:
         seen = []
 
         def setup(replay_session):
-            seen.append(replay_session.config)
+            seen.append(replay_session.spec.config)
             return replay_session.new_app("replaytest", SCRIPT)
 
         assert replay_journal(session, mode="bytecode_off",

@@ -6,6 +6,7 @@ from repro.x11 import (Display, FaultPlan, XConnectionLost,
                        XProtocolError, XServer)
 from repro.x11 import events as ev
 from repro.x11.faults import DELAY, DISCONNECT, DROP, ERROR
+from repro.x11.transport import shutdown_host
 
 
 @pytest.fixture
@@ -299,6 +300,33 @@ class TestCloseDownScrub:
         # the window the doomed request created was scrubbed with it
         assert not server.window_exists(win)
         self._assert_clean(server, display.client.number)
+
+    @pytest.mark.parametrize("transport", ["loopback", "socket"])
+    @pytest.mark.parametrize("path", ["batch", "oneway", "reply"])
+    def test_request_failing_at_its_own_disconnect_tick(self, server,
+                                                        transport, path):
+        """A request whose own tick closes its connection, and which
+        then fails on the client's destroyed windows, raises
+        XConnectionLost (not BadWindow) and leaves the Display closed
+        on both transports."""
+        display = Display(server, buffering_enabled=path == "batch",
+                          transport=transport)
+        try:
+            win = display.create_window(display.root, 0, 0, 10, 10)
+            display.flush()
+            name = "get_geometry" if path == "reply" else "map_window"
+            plan = server.install_fault_plan(FaultPlan())
+            plan.disconnect_client(display.client.number, on_request=name)
+            with pytest.raises(XConnectionLost):
+                if path == "reply":
+                    display.get_geometry(win)
+                else:
+                    display.map_window(win)
+                    display.flush()
+            assert display.closed
+            self._assert_clean(server, display.client.number)
+        finally:
+            shutdown_host(server)
 
     def test_scrub_is_idempotent_and_guarded(self, server):
         display = Display(server)
