@@ -12,8 +12,7 @@ simulated X server (display) shared by a few sessions — which is what
 makes cross-session ``send`` RPCs possible, exactly as the paper's
 section 6 envisions cooperating applications on one display.  Specs
 that need isolation (fault plans, multi-application journals,
-self-recording sessions) get solo cells; see
-:attr:`~repro.obs.session.SessionSpec.solo`.
+self-recording sessions) get solo cells; see :func:`solo`.
 
 Scheduling is cooperative round-robin at one-input granularity: each
 round visits every live session once, and a session's visit runs one
@@ -47,6 +46,20 @@ DEFAULT_PUMP_BUDGET = 64
 DEFAULT_PING_EVERY = 16
 
 
+def solo(spec: SessionSpec) -> bool:
+    """Whether ``spec`` needs a server cell of its own.
+
+    A fault plan is installed per *server*, so a faulted spec must not
+    share (its faults would hit innocent neighbours); a
+    multi-application spec resolves peers by recorded name, which only
+    stays unambiguous on a private server; a recording spec's journal
+    must contain no neighbour traffic or it cannot replay standalone.
+    """
+    return (spec.fault_spec is not None
+            or spec.record_path is not None
+            or any(kind == "new_app" for kind, _ in spec.steps))
+
+
 class FleetDriver:
     """Runs a list of :class:`SessionSpec` as one fleet."""
 
@@ -76,7 +89,7 @@ class FleetDriver:
         cells: List[List[SessionSpec]] = []
         open_cell: Optional[List[SessionSpec]] = None
         for spec in self.specs:
-            if spec.solo:
+            if solo(spec):
                 cells.append([spec])
                 continue
             if open_cell is None or len(open_cell) >= self.cell_size:

@@ -237,9 +237,13 @@ def record_session(script: str, steps: List[Tuple],
     ``("new_app", name, setupscript)`` — recording everything.  The
     ``update``, ``advance`` and ``eval`` steps target the session's
     application, whose name the journal records.  ``fault_plan`` is a
-    :class:`~repro.x11.faults.FaultPlan`; the session installs the
-    plan its :meth:`~FaultPlan.to_spec` describes, exactly as the
-    replay will.  The steps become a
+    :class:`~repro.x11.faults.FaultPlan` read only as a description:
+    the session installs a fresh plan rebuilt from its
+    :meth:`~FaultPlan.to_spec`, exactly as the replay will, so the
+    caller's object injects and logs nothing; every injected fault is
+    a ``fault`` entry of the returned journal.  A plan with
+    ``call_on_request`` triggers cannot be serialized and raises
+    :class:`ValueError`.  The steps become a
     :class:`~repro.obs.session.SessionSpec` launched like every other
     session, with no error sink: an exception in setup or in a step
     surfaces to the caller.  The one exception is a header fault plan
@@ -247,6 +251,11 @@ def record_session(script: str, steps: List[Tuple],
     """
     from ..x11.xserver import XProtocolError, XServer
 
+    fault_spec = fault_plan.to_spec() if fault_plan is not None else None
+    if fault_spec is not None and "dropped_call_triggers" in fault_spec:
+        raise ValueError("a fault plan with call_on_request triggers "
+                         "cannot be recorded: the journal header "
+                         "cannot carry its callbacks")
     inputs = []
     for kind, *args in steps:
         if kind in ("update", "advance", "eval"):
@@ -255,9 +264,7 @@ def record_session(script: str, steps: List[Tuple],
     spec = SessionSpec(
         inputs, setup_script=script,
         config=config if config is not None else SessionConfig(),
-        fault_spec=fault_plan.to_spec() if fault_plan is not None
-        else None,
-        planted=planted, name=name)
+        fault_spec=fault_spec, planted=planted, name=name)
     session = Session(XServer(), spec)
     try:
         try:

@@ -174,21 +174,6 @@ class SessionSpec:
             header["planted"] = self.planted
         return header
 
-    @property
-    def solo(self) -> bool:
-        """Sessions that need a fleet server cell of their own.
-
-        A fault plan is installed per *server*, so a faulted spec must
-        not share (its faults would hit innocent neighbours); a
-        multi-application spec resolves peers by recorded name, which
-        only stays unambiguous on a private server; a recording spec's
-        journal must contain no neighbour traffic or it cannot replay
-        standalone.
-        """
-        return (self.fault_spec is not None
-                or self.record_path is not None
-                or any(kind == "new_app" for kind, _ in self.steps))
-
 
 def start_recording(server, spec: SessionSpec, sink: Optional[str] = None,
                     maxlen: int = JOURNAL_RING) -> Journal:

@@ -9,6 +9,7 @@ from repro.fleet import (DEFAULT_SLOS, SLO, FleetDriver, FleetSession,
                          SessionSpec, check_slos, format_slos, format_top,
                          make_slow_spec)
 from repro.fleet.__main__ import build_specs, corpus_journals
+from repro.fleet.driver import solo
 from repro.fuzz.gen import generate_scenario
 from repro.fuzz.runner import run_scenario
 from repro.obs import trace
@@ -72,13 +73,13 @@ class TestSessionSpec:
         assert spec.source == "examples/golden.journal"
 
     def test_solo_rules(self):
-        assert not simple_spec("a").solo
+        assert not solo(simple_spec("a"))
         faulted = SessionSpec([], fault_spec={"seed": 1}, name="f")
-        assert faulted.solo
+        assert solo(faulted)
         multi = SessionSpec([("new_app", ["peer", ""])], name="m")
-        assert multi.solo
+        assert solo(multi)
         recording = SessionSpec([], name="r", record_path="/tmp/x.journal")
-        assert recording.solo
+        assert solo(recording)
 
     def test_planted_bugs_never_armed(self, tmp_path):
         """The spec keeps the journal's planted bug, but the fleet runs

@@ -266,6 +266,24 @@ class TestFaultedReplay:
         reloaded = Journal.load(str(path))
         assert replay_journal(reloaded, mode="default").matched
 
+    def test_callers_plan_is_a_description(self):
+        # The session installs a plan rebuilt from the caller's spec;
+        # the faults it injects are journal entries, not counts on the
+        # caller's object.
+        from repro.x11.faults import FaultPlan
+        plan = FaultPlan(seed=5, error_rate=1.0, warmup=40, max_faults=1)
+        journal = record_session(SCRIPT, STEPS, name="faulted",
+                                 fault_plan=plan)
+        assert plan.total_injected == 0 and plan.log == []
+        assert [entry["k"] for entry in journal.ring].count("fault") == 1
+
+    def test_call_trigger_plan_is_refused(self):
+        from repro.x11.faults import FaultPlan
+        plan = FaultPlan(seed=0)
+        plan.call_on_request(lambda server: None, name="MapWindow")
+        with pytest.raises(ValueError, match="call_on_request"):
+            record_session(SCRIPT, STEPS, name="called", fault_plan=plan)
+
     def test_construction_killed_by_fault_still_replays(self):
         # A plan with no warmup can kill TkApp construction itself;
         # the recording survives that, and so must the replay.
