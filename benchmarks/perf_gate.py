@@ -15,9 +15,12 @@ end-to-end metrics, then exits 1 if, on any workload, a bounded metric
 that both sides report regresses by the rule of
 ``perfbench.compare.regressions`` (head median worse than base median
 by more than the bound of this checkout's ``BENCHMARK.json``) or the
-head fails a larger share of its ops than the base.  Workloads and
-bounded metrics only one side has are new (or gone): they are printed
-as skipped, not gated.  ``--plant NAME`` passes ``--plant NAME`` to
+head fails a larger share of its ops than the base.  For each flagged
+workload it then runs one ``--trace 1`` base/head pair and prints every
+layer's ``*.self_ms_per_op``, base against head, largest change first,
+so the failure names the layer that moved.  Workloads and bounded
+metrics only one side has are new (or gone): they are printed as
+skipped, not gated.  ``--plant NAME`` passes ``--plant NAME`` to
 the head's runs only; it exists to show that the gate trips
 (``--plant frame_size`` must flag ``button_churn``).
 """
@@ -47,12 +50,13 @@ def workloads(checkout: str) -> list:
         return [entry["name"] for entry in json.load(source)["workloads"]]
 
 
-def run(checkout: str, workload: str, seconds: float, extra) -> dict:
-    """One untraced perfbench run; its result object (the last line)."""
+def run(checkout: str, workload: str, seconds: float, extra,
+        trace: int = 0) -> dict:
+    """One perfbench run; its result object (the last line)."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seconds", str(seconds),
-         "--trace", "0"] + extra,
+         "--trace", str(trace)] + extra,
         cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit("perf_gate: %s run of %s exited %d:\n%s"
@@ -86,6 +90,22 @@ def regressions(base_runs, head_runs):
         if worse > bound:
             flagged.append((name, base, head, worse))
     return flagged, skipped
+
+
+def layer_lines(base: dict, head: dict) -> list:
+    """One line per layer that either traced run spent time in: self
+    ms per op, base against head, the largest change first."""
+    rows = []
+    for name in set(base["metrics"]) & set(head["metrics"]):
+        if name.endswith(".self_ms_per_op"):
+            before = base["metrics"][name]["value"]
+            after = head["metrics"][name]["value"]
+            if before or after:
+                rows.append((after - before, name, before, after))
+    rows.sort(key=lambda row: (-abs(row[0]), row[1]))
+    return ["  %-30s base %8.3f  head %8.3f  %+8.3f ms"
+            % (name[:-len(".self_ms_per_op")], before, after, change)
+            for change, name, before, after in rows]
 
 
 def describe(side: str, pair: int, result: dict) -> str:
@@ -136,6 +156,11 @@ def main(argv=None) -> int:
                   % (workload, base_failed, head_failed))
         if flagged or head_failed > base_failed:
             status = 1
+            print("%s self ms per op by layer, one --trace 1 pair:"
+                  % workload, flush=True)
+            for line in layer_lines(run(args.base, workload, seconds, [], 1),
+                                    run(HEAD, workload, seconds, plant, 1)):
+                print(line)
         else:
             print("ok %s: no end-to-end metric past its bound" % workload)
     return status

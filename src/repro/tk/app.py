@@ -389,13 +389,9 @@ class TkApp:
         if entry is not None and isinstance(entry[1], str):
             self.options.load_string(entry[1])
 
-    def option_value(self, window: TkWindow, db_name: str,
-                     db_class: str) -> Optional[str]:
-        """Query the option database for a widget option."""
-        names, classes = self._option_path(window)
-        return self.options.get(names, classes, db_name, db_class)
-
-    def _option_path(self, window: TkWindow) -> Tuple[List[str], List[str]]:
+    def option_path(self, window: TkWindow) -> Tuple[List[str], List[str]]:
+        """``window``'s option-database levels, from the application
+        down: its names and its classes (see ``OptionDatabase.get``)."""
         names: List[str] = []
         classes: List[str] = []
         current: Optional[TkWindow] = window

@@ -148,7 +148,7 @@ def _option_command(app):
             if len(argv) != 5:
                 raise _wrong_args("option get window name class")
             window = app.window(argv[2])
-            value = app.options.get(*app._option_path(window),
+            value = app.options.get(*app.option_path(window),
                                     argv[3], argv[4])
             return value or ""
         if sub == "clear":

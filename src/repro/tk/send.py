@@ -56,8 +56,6 @@ _DEFAULT_TIMEOUT_MS = 2000
 #: target on every round (see ``_wait_for_result``).
 _IDLE_GRACE_ROUNDS = 25
 
-_serials = itertools.count(1)
-
 
 class SendManager:
     """Registration and transport for the send command."""
@@ -71,6 +69,10 @@ class SendManager:
         #: per-send deadline, in virtual milliseconds (configurable)
         self.timeout_ms = _DEFAULT_TIMEOUT_MS
         self.idle_grace = _IDLE_GRACE_ROUNDS
+        #: this application's send serials: their digits cross the wire,
+        #: so other applications in the process must not move them (in
+        #: Tk a process held one application)
+        self._serials = itertools.count(1)
         # The communication window: an unmapped child of the root.
         self.comm_window = display.create_window(display.root, 0, 0, 1, 1)
         display.select_input(self.comm_window, ev.PROPERTY_CHANGE_MASK)
@@ -217,7 +219,7 @@ class SendManager:
         target_window = registry.get(target_name)
         if target_window is None or not self._window_alive(target_window):
             raise self._lookup_failed(registry, target_name)
-        serial = next(_serials)
+        serial = next(self._serials)
         reply_window = self.comm_window if wait else 0
         request = format_list(["cmd", str(serial), str(reply_window),
                                script])

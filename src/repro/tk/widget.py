@@ -79,14 +79,19 @@ class Widget:
 
     def _initialize_options(self, argv: Sequence[str]) -> None:
         supplied = self._parse_pairs(argv)
+        path = None
         for spec in self.option_specs:
             if spec.name in supplied:
                 value = supplied[spec.name]
             else:
                 # Unspecified options: check the option database, then
                 # fall back to the widget type's default (section 4).
-                db_value = self.app.option_value(self.window, spec.db_name,
-                                                 spec.db_class)
+                # The window's database path is walked once per widget,
+                # as tkOption.c caches the last window's option stack.
+                if path is None:
+                    path = self.app.option_path(self.window)
+                db_value = self.app.options.get(*path, spec.db_name,
+                                                spec.db_class)
                 value = db_value if db_value is not None else spec.default
             self.options[spec.name] = value
 

@@ -20,13 +20,18 @@ discipline is Xlib's own:
 * the Tk event loop flushes at idle, and :meth:`close` flushes before
   disconnecting.
 
-A coalescing pass runs at flush time: consecutive ``configure_window``
-requests on the same window merge (later fields win), draw requests
-superseded by a later ``clear_window`` on the same window are dropped,
-and duplicate ``select_input``/non-append ``change_property`` writes to
-the same key keep only the last.  Dropped requests are counted in
-``x11.requests_coalesced``.  Coalescing never reorders the surviving
-requests, so event-generation order is preserved.
+Coalescing: draw requests superseded by a later ``clear_window`` on
+the same window are dropped, duplicate ``select_input``/non-append
+``change_property`` writes to the same key keep only the last, and
+``configure_window`` requests on the same window merge (later fields
+win).  A configure merges at enqueue time into the window's buffered
+configure while that configure is still the last buffered request
+addressing the window, so :meth:`pending_output` counts the buffer
+after that merge; the flush-time pass (:func:`_coalesce`) does the
+rest, including the configure merges only a later ``clear_window`` can
+allow.  Every dropped or merged request is counted in
+``x11.requests_coalesced`` at flush.  Coalescing never reorders the
+surviving requests, so event-generation order is preserved.
 
 Bare ``Display`` objects default to the synchronous path (protocol
 tests drive the server request-by-request); :class:`~repro.tk.TkApp`
@@ -184,6 +189,11 @@ class Display:
         self.buffering_enabled = buffering_enabled
         #: buffered one-way requests: (name, window, args, kwargs)
         self._buffer: List[tuple] = []
+        #: window -> kwargs of its buffered configure_window, while no
+        #: later buffered request addresses the window (it can merge)
+        self._configures: Dict[int, dict] = {}
+        #: configures merged at enqueue since the last flush
+        self._merged = 0
         #: virtual time the oldest buffered request was enqueued;
         #: tracked only while a tracer is active, so the flush can
         #: stamp the batch's wire span with its queue latency
@@ -248,6 +258,8 @@ class Display:
                 _trace.record_queued(name)
                 if self._queued_since is None:
                     self._queued_since = self.server.time_ms
+            if window in self._configures:
+                del self._configures[window]
             self._buffer.append((name, window, args, kwargs))
         else:
             self.transport.oneway(name, window, args, kwargs)
@@ -301,14 +313,17 @@ class Display:
         # it): if deliver_batch aborts mid-batch with XConnectionLost,
         # a retry must NOT re-deliver the surviving prefix — real Xlib
         # never rewrites bytes it already handed to the kernel.
-        ops = self._buffer
+        ops, merged = self._buffer, self._merged
         self._buffer = []
+        self._configures = {}
+        self._merged = 0
         queued_since, self._queued_since = self._queued_since, None
         if self.closed:
             raise XConnectionLost("connection to X server lost "
                                   "(%d buffered requests discarded)"
-                                  % len(ops))
+                                  % (len(ops) + merged))
         ops, dropped = _coalesce(ops)
+        dropped += merged
         if dropped:
             self._m_coalesced.value += dropped
         if queued_since is not None:
@@ -364,8 +379,22 @@ class Display:
         self._oneway("unmap_window", window, window)
 
     def configure_window(self, window: int, **kwargs) -> None:
-        self._oneway("configure_window", window, window,
-                     client=self.client, **kwargs)
+        pending = self._configures.get(window)
+        if pending is None:
+            self._oneway("configure_window", window, window,
+                         client=self.client, **kwargs)
+            if self.buffering_enabled:
+                self._configures[window] = self._buffer[-1][3]
+            return
+        # _coalesce's forward rule, decided now: nothing buffered since
+        # the pending configure addresses this window, so merge into it.
+        self._require_open()
+        if _trace._ACTIVE:
+            _trace.record_queued("configure_window")
+            if self._queued_since is None:
+                self._queued_since = self.server.time_ms
+        pending.update(kwargs)
+        self._merged += 1
 
     def select_input(self, window: int, mask: int) -> None:
         self._oneway("select_input", window, self.client, window, mask)

@@ -534,6 +534,35 @@ def _value_size_slow(value) -> int:
                     % (type(value).__name__, value))
 
 
+def _batch_size(ops: list) -> int:
+    # A BATCH payload in one flat loop: each (name, window, args,
+    # kwargs) op costs its three container headers plus its values.
+    # Exact ints within i64, ASCII strs, None, bools and Clients are
+    # sized here; any other value, and any op of another shape, goes
+    # to _value_size.
+    size = 5
+    for op in ops:
+        if type(op) is not tuple or len(op) != 4 or \
+                type(op[2]) is not tuple or type(op[3]) is not dict:
+            size += _value_size(op)
+            continue
+        name, window, args, kwargs = op
+        size += 15
+        for value in (name, window, *args, *kwargs, *kwargs.values()):
+            kind = type(value)
+            if kind is int and _I64_MIN <= value <= _I64_MAX:
+                size += 9
+            elif kind is str and value.isascii():
+                size += 5 + len(value)
+            elif value is None or kind is bool:
+                size += 1
+            elif kind is Client:
+                size += 9
+            else:
+                size += _value_size(value)
+    return size
+
+
 def frame_size(ftype: int, value=None, ctx: Optional[int] = None) -> int:
     """Exact ``len(encode_frame(ftype, value, ctx))`` without encoding.
 
@@ -549,7 +578,10 @@ def frame_size(ftype: int, value=None, ctx: Optional[int] = None) -> int:
         return 5 + _event_size(value)   # one EVENT frame per delivery
     if ftype not in FRAME_NAMES:
         raise WireError("unknown frame type 0x%02X" % ftype)
-    size = 5 + _value_size(value)
+    if ftype == BATCH and type(value) is list:
+        size = 5 + _batch_size(value)
+    else:
+        size = 5 + _value_size(value)
     if ctx is not None:
         if ftype not in TRACED_FRAMES:
             raise WireError("trace context not allowed on %s frame"

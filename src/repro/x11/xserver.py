@@ -20,6 +20,11 @@ both also feed any active span tracer, which is how a trace attributes
 wire traffic to the widget and script that caused it.  The legacy
 ``requests``/``round_trips`` integers are now read-only views of those
 metrics.
+
+Event serials: every event the server generates takes the next serial,
+selected or not, so a delivered serial (Tk's ``%#``) does not depend on
+who listens elsewhere; a structure or Expose event nobody selected
+takes its serial but is never built.
 """
 
 from __future__ import annotations
@@ -29,14 +34,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import Observability
 from ..obs import trace as _trace
+from . import events as _events
 from .atoms import AtomTable
 from .events import (ALWAYS_DELIVERED, BUTTON_PRESS, BUTTON_RELEASE,
                      CONFIGURE_NOTIFY, DESTROY_NOTIFY, ENTER_NOTIFY, EXPOSE,
                      EXPOSURE_MASK, Event, KEY_PRESS, KEY_RELEASE,
                      LEAVE_NOTIFY, MAP_NOTIFY, MASK_FOR_TYPE, MOTION_NOTIFY,
                      PROPERTY_NOTIFY, SELECTION_CLEAR, SELECTION_NOTIFY,
-                     SELECTION_REQUEST, SUBSTRUCTURE_NOTIFY_MASK,
-                     UNMAP_NOTIFY)
+                     SELECTION_REQUEST, STRUCTURE_NOTIFY_MASK,
+                     SUBSTRUCTURE_NOTIFY_MASK, UNMAP_NOTIFY)
 from .resources import (BUILTIN_BITMAPS, CURSOR_NAMES, Bitmap, Color, Cursor,
                         Font, GraphicsContext, font_exists, font_metrics,
                         parse_color)
@@ -91,6 +97,14 @@ def lost_if_closed(client, error: XProtocolError) -> XProtocolError:
     if client.closed and not isinstance(error, XConnectionLost):
         return XConnectionLost("connection to X server lost")
     return error
+
+
+def _selects(window: Window, mask: int) -> bool:
+    """True if some client selected an event of ``mask`` on ``window``."""
+    for selected in window.event_selections.values():
+        if selected & mask:
+            return True
+    return False
 
 
 class Client:
@@ -652,10 +666,7 @@ class XServer:
             # the root, as _key_event would have treated it anyway, so
             # no stale reference survives (the census checks this).
             self.focus_window = self.root
-        event = Event(DESTROY_NOTIFY, window=window.id, time=self.time_ms)
-        self._deliver(window, event)
-        if window.parent is not None:
-            self._deliver_substructure(window.parent, event)
+        self._structure_notify(window, DESTROY_NOTIFY)
 
     def map_window(self, wid: int) -> None:
         self._tick("map_window")
@@ -664,10 +675,7 @@ class XServer:
             return
         before = self._free_area(window)
         window.mapped = True
-        event = Event(MAP_NOTIFY, window=wid, time=self.time_ms)
-        self._deliver(window, event)
-        if window.parent is not None:
-            self._deliver_substructure(window.parent, event)
+        self._structure_notify(window, MAP_NOTIFY)
         self._window_changed(window, before)
 
     def unmap_window(self, wid: int) -> None:
@@ -677,10 +685,7 @@ class XServer:
             return
         before = self._free_area(window)
         window.mapped = False
-        event = Event(UNMAP_NOTIFY, window=wid, time=self.time_ms)
-        self._deliver(window, event)
-        if window.parent is not None:
-            self._deliver_substructure(window.parent, event)
+        self._structure_notify(window, UNMAP_NOTIFY)
         self._window_changed(window, before)
 
     def configure_window(self, wid: int, x: Optional[int] = None,
@@ -708,12 +713,8 @@ class XServer:
         window.x, window.y = new_x, new_y
         window.width, window.height = new_width, new_height
         window.border_width = new_border
-        event = Event(CONFIGURE_NOTIFY, window=wid, x=window.x, y=window.y,
-                      width=window.width, height=window.height,
-                      time=self.time_ms)
-        self._deliver(window, event)
-        if window.parent is not None:
-            self._deliver_substructure(window.parent, event)
+        self._structure_notify(window, CONFIGURE_NOTIFY, x=new_x, y=new_y,
+                               width=new_width, height=new_height)
         self._window_changed(window, before, resized)
 
     def raise_window(self, wid: int) -> None:
@@ -925,10 +926,23 @@ class XServer:
                 delivered = True
         return delivered
 
-    def _deliver_substructure(self, parent: Window, event: Event) -> None:
-        for client, selected in list(parent.event_selections.items()):
-            if selected & SUBSTRUCTURE_NOTIFY_MASK:
-                client.enqueue(event)
+    def _structure_notify(self, window: Window, kind: int,
+                          **fields) -> None:
+        """Deliver a structure event to StructureNotify on ``window``
+        and SubstructureNotify on its parent; build it only if one of
+        them is selected (the serial is taken either way)."""
+        parent = window.parent
+        if not _selects(window, STRUCTURE_NOTIFY_MASK) and (
+                parent is None or
+                not _selects(parent, SUBSTRUCTURE_NOTIFY_MASK)):
+            next(_events._serial)
+            return
+        event = Event(kind, window=window.id, time=self.clock.now, **fields)
+        self._deliver(window, event)
+        if parent is not None:
+            for client, selected in list(parent.event_selections.items()):
+                if selected & SUBSTRUCTURE_NOTIFY_MASK:
+                    client.enqueue(event)
 
     def _deliver_propagating(self, window: Window, event: Event) -> bool:
         """Key/button/motion delivery with upward propagation."""
@@ -1008,9 +1022,11 @@ class XServer:
         Each window is exposed for the part of its visible region it
         did not have before; a ``resized`` window for all of it (X's
         default ForgetGravity).  One Expose per banded rectangle,
-        windows in pre-order.  Each is built, taking the next event
-        serial, whether or not anyone selected it; the first selecting
-        client gets it as built and only a further one needs a copy.
+        windows in pre-order.  Each band takes the next event serial
+        whether or not anyone selected it, but the event is built only
+        for a window some client selected Exposure on; the first
+        selecting client gets it as built and only a further one needs
+        a copy.
         """
         after = self._free_area(window)
         if after is None:
@@ -1058,17 +1074,20 @@ class XServer:
             for owner, region in regions.items():
                 if not region:
                     continue
-                selections = owner.event_selections
+                if not _selects(owner, EXPOSURE_MASK):
+                    for _band in bands(region):
+                        next(_events._serial)
+                    continue
                 for x, y, width, height in bands(region):
                     event = Event(EXPOSE, window=owner.id, x=x, y=y,
                                   width=width, height=height, time=time)
-                    if selections:
-                        shipped = False
-                        for client, selected in list(selections.items()):
-                            if selected & EXPOSURE_MASK:
-                                client.enqueue(event.for_window(owner.id)
-                                               if shipped else event)
-                                shipped = True
+                    shipped = False
+                    for client, selected in list(
+                            owner.event_selections.items()):
+                        if selected & EXPOSURE_MASK:
+                            client.enqueue(event.for_window(owner.id)
+                                           if shipped else event)
+                            shipped = True
         # The window under the pointer can only have changed where the
         # window lost or gained pixels, or anywhere in its old or new
         # rectangle if it moved.  The free areas end at the root's

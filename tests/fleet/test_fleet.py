@@ -153,6 +153,42 @@ class TestDriver:
         assert first.summary()["virtual_ms"] == \
             second.summary()["virtual_ms"]
 
+    def test_same_seed_runs_ignore_other_applications_sends(self):
+        """A send's serial crosses the wire in decimal, so serials
+        shared by the whole process would make a session's bytes
+        depend on sends other applications made before it.  Between two
+        same-seed runs another application sends until its serials
+        gain a digit (its per-send bytes grow): had it shared the
+        counter, the second run's sends would all be a digit longer."""
+        from repro.tk import TkApp
+
+        def wire_bytes():
+            specs = build_specs(6, 11, ["examples/golden.journal"])
+            registry = FleetDriver(specs, seed=11).run().registry
+            return {name: value for name, value
+                    in dict(registry.snapshot()).items()
+                    if name.startswith("x11.wire.bytes_")}
+
+        first = wire_bytes()
+        server = XServer()
+        apps = [TkApp(server, name=name) for name in ("other", "peer")]
+        metrics = server.obs.metrics
+
+        def send_bytes():
+            before = metrics.total("x11.wire.bytes_out")
+            apps[0].interp.eval("send peer {set x 1}")
+            return metrics.total("x11.wire.bytes_out") - before
+
+        base = send_bytes()
+        for _ in range(100000):
+            if send_bytes() > base:
+                break
+        else:
+            pytest.fail("send serials never gained a digit")
+        for app in apps:
+            app.destroy()
+        assert wire_bytes() == first
+
     def test_session_gauges_reach_terminal_states(self):
         specs = [simple_spec("app0"),
                  generate_scenario(5000032)]

@@ -2,7 +2,6 @@
 shared display."""
 
 import io
-import itertools
 
 import pytest
 
@@ -140,14 +139,11 @@ def _send_traffic(n_apps, transport, script):
     """(request names, round trips, bytes out, bytes in) of one send
     from "test" to "peer" with ``n_apps`` registered applications."""
     from repro.obs.journal import Journal
-    from repro.tk import send as send_module
     from repro.x11 import XServer
     from repro.x11.transport import shutdown_host
 
-    # Serials are process-wide and their digits cross the wire: start
-    # every measurement from the same one so byte counts compare.
-    saved_serials = send_module._serials
-    send_module._serials = itertools.count(1)
+    # Serials are per application and their digits cross the wire:
+    # every measurement's sender is new, so byte counts compare.
     server = XServer()
     apps = []
     try:
@@ -182,7 +178,6 @@ def _send_traffic(n_apps, transport, script):
         for application in apps:
             application.destroy()
         shutdown_host(server)
-        send_module._serials = saved_serials
 
 
 class TestSendTraffic:

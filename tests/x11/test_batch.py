@@ -322,6 +322,125 @@ class TestReplyBarriers:
             assert len(kept) == 3, name
 
 
+def _sent_ops(buffered, requests, plan=None):
+    """The request ops ``requests(display, windows, gc)`` puts on the
+    wire, read back from the captured frames: the op lists of the
+    BATCH frames of a buffered Display, or of the ONEWAY frames of an
+    unbuffered one (each request as issued, nothing merged); and the
+    XConnectionLost the flush raised, if any."""
+    from repro.x11 import wire
+    server = XServer()
+    display = Display(server, buffering_enabled=buffered)
+    windows = [display.create_window(display.root, 0, 0, 10, 10)
+               for _ in range(3)]
+    gc = display.create_gc(foreground=1)
+    if plan is not None:
+        plan(server, display)
+    frames = display.transport.capture_wire()
+    lost = None
+    try:
+        requests(display, windows, gc)
+        display.flush()
+    except XConnectionLost as error:
+        lost = error
+    ops = []
+    for frame in frames:
+        # Clients decode to the live one, as _coalesce keys them by id.
+        ftype, value = wire.decode_frame(frame,
+                                         lambda number: display.client)
+        if ftype == wire.BATCH:
+            ops.extend(value)
+        elif ftype == wire.ONEWAY:
+            ops.append(value)
+    return ops, lost
+
+
+class TestEnqueueMerge:
+    """Configures merged at enqueue time, then the flush-time pass, put
+    on the wire exactly the ops ``_coalesce`` makes of the requests as
+    issued."""
+
+    @staticmethod
+    def check(requests, plan=None):
+        from repro.x11 import wire
+        from repro.x11.display import _coalesce
+        issued, _ = _sent_ops(False, requests)
+        sent, lost = _sent_ops(True, requests, plan)
+        expected, _ = _coalesce(list(issued))
+        assert wire.encode_frame(wire.BATCH, sent) == \
+            wire.encode_frame(wire.BATCH, expected)
+        return issued, sent, lost
+
+    def test_configure_draw_configure_clear(self):
+        def requests(display, windows, gc):
+            win = windows[0]
+            display.configure_window(win, width=20)
+            display.fill_rectangle(win, gc, 0, 0, 5, 5)
+            display.configure_window(win, height=30)
+            display.clear_window(win)
+        issued, sent, _ = self.check(requests)
+        # The draw went only at flush, and the configures merged then.
+        assert [op[0] for op in sent] == ["configure_window",
+                                          "clear_window"]
+        assert sent[0][3]["width"] == 20 and sent[0][3]["height"] == 30
+
+    def test_configure_select_input_configure(self):
+        def requests(display, windows, gc):
+            win = windows[0]
+            display.configure_window(win, width=20)
+            display.select_input(win, ev.STRUCTURE_NOTIFY_MASK)
+            display.configure_window(win, height=30)
+        issued, sent, _ = self.check(requests)
+        assert len(sent) == len(issued) == 3
+
+    def test_configure_other_destroy_configure(self):
+        def requests(display, windows, gc):
+            win, other = windows[0], windows[1]
+            display.configure_window(win, width=20)
+            display.destroy_window(other)
+            display.configure_window(win, height=30, width=25)
+        issued, sent, _ = self.check(requests)
+        assert [op[0] for op in sent] == ["configure_window",
+                                          "destroy_window"]
+        assert list(sent[0][3].items())[-2:] == [("width", 25),
+                                                ("height", 30)]
+
+    def test_pending_output_counts_after_the_merge(self, display):
+        win = display.create_window(display.root, 0, 0, 10, 10)
+        for width in range(20, 25):
+            display.configure_window(win, width=width)
+        assert display.pending_output() == 1
+        display.map_window(win)
+        display.configure_window(win, height=5)
+        assert display.pending_output() == 3
+
+    def test_batch_aborted_by_connection_loss(self):
+        def requests(display, windows, gc):
+            first, second, third = windows
+            display.configure_window(first, width=20)
+            display.configure_window(second, width=20)
+            display.configure_window(first, height=30)
+            display.map_window(second)
+            display.configure_window(third, x=4)
+            display.configure_window(third, y=4)
+
+        def plan(server, display):
+            server.install_fault_plan(FaultPlan()).disconnect_client(
+                display.client, on_request="map_window")
+            server.attach_journal(Journal(clock=lambda: server.time_ms))
+            journals.append(server.journal)
+
+        from repro.obs.journal import Journal
+        journals = []
+        issued, sent, lost = self.check(requests, plan)
+        assert lost is not None
+        names = [name for name, _, _ in journals[0].wire()]
+        # The batch tick, then each op up to the one that disconnected.
+        assert names == ["batch", "configure_window", "configure_window",
+                         "map_window"]
+        assert len(sent) == 4 and len(issued) == 6
+
+
 class TestBatchErrors:
     def test_error_deferred_to_flush(self, server, display):
         """An error from a mid-batch request surfaces at flush time and

@@ -9,6 +9,7 @@ XConnectionLost, write backpressure — gets targeted coverage of its
 own.
 """
 
+import os
 import selectors
 import time
 
@@ -184,6 +185,95 @@ class TestLoopbackEventHop:
                 for event in received} == {(ev.EXPOSE, wid, 30, 20)}
         received[0].width = 99          # no receiver shares its fields
         assert received[1].width == received[2].width == 30
+
+
+class TestCountersMatchFrames:
+    """Every loopback byte count is the length of the frame it stands
+    for: each ``wire.frame_size`` call the transport makes is checked
+    against ``len(wire.encode_frame(...))`` of the same arguments."""
+
+    @pytest.fixture
+    def sized(self, monkeypatch):
+        """The frame types sized so far and the mismatches found.
+
+        Mismatches are collected rather than asserted in place: an
+        exception raised inside a transport may be reported through
+        bgerror or a send error reply instead of reaching the test.
+        """
+        frame_size = wire.frame_size
+        seen, mismatches = [], []
+
+        def checked(ftype, value=None, ctx=None):
+            size = frame_size(ftype, value, ctx)
+            seen.append(ftype)
+            if size != len(wire.encode_frame(ftype, value, ctx)):
+                mismatches.append((wire.frame_name(ftype), value))
+            return size
+
+        monkeypatch.setattr(wire, "frame_size", checked)
+        return seen, mismatches
+
+    def test_every_frame_of_the_golden_session(self, sized):
+        from repro.obs.journal import Journal
+        from repro.obs.replay import replay_journal
+        seen, mismatches = sized
+        journal = Journal.load(os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "examples",
+            "golden.journal"))
+        assert replay_journal(journal).matched
+        assert mismatches == []
+        assert {wire.BATCH, wire.REQUEST, wire.EVENT} <= set(seen)
+
+    def test_every_frame_of_a_churn_op(self, sized):
+        from repro.tk import TkApp
+        seen, mismatches = sized
+        app = TkApp(XServer(), name="churn")
+        _churn(app)
+        assert mismatches == []
+        assert seen.count(wire.BATCH) > 1 and seen.count(wire.EVENT) > 40
+
+    def test_every_frame_of_fuzz_seeds_0_to_99(self, sized):
+        from repro.fuzz import generate_scenario, run_scenario
+        seen, mismatches = sized
+        for seed in range(100):
+            run_scenario(generate_scenario(seed), check_replay=False)
+        assert mismatches == []
+        assert seen.count(wire.BATCH) > 1000
+
+    def test_batch_of_every_fallback_value(self):
+        from repro.tcl.value import Value
+        from repro.x11.resources import GraphicsContext
+        server = XServer()
+        client = server.connect()
+        gc = GraphicsContext(7, {"foreground": 1})
+        ops = [
+            ("draw_string", 5, (5, gc, 1, 2, Value("tcl")),
+             {"client": client}),
+            ("draw_string", 5, (5, gc, 1, 2, "h\u00e9llo \u2603"),
+             {"client": client, "text": Value("caf\u00e9")}),
+            ("change_property", 6, (6, 1 << 70, -(1 << 63) - 1, [1, "a"]),
+             {"append": True, "client": client}),
+            ("configure_window", 7, (7, False, 2.5, b"raw"),
+             {"width": 1.0, "height": b"\x00\x01", "flag": True,
+              "big": 1 << 64, "none": None}),
+            ("map_window", None, (), {}),
+            # ops of another shape: sized by the general path
+            ["map_window", 8, (8,), {}],
+            ("map_window", 8, [8], {}),
+            ("map_window", 8),
+        ]
+        for ctx in (None, 42):
+            assert wire.frame_size(wire.BATCH, ops, ctx) == \
+                len(wire.encode_frame(wire.BATCH, ops, ctx))
+            for op in ops:
+                assert wire.frame_size(wire.BATCH, [op], ctx) == \
+                    len(wire.encode_frame(wire.BATCH, [op], ctx))
+        with pytest.raises(wire.WireError):
+            wire.frame_size(wire.BATCH, [("map_window", 1, (object(),),
+                                          {})])
+        with pytest.raises(wire.WireError):
+            wire.frame_size(wire.BATCH, [("map_window", 1, (),
+                                          {"x": {1, 2}})])
 
 
 class TestLegacyClientPath:

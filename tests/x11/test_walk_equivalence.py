@@ -211,6 +211,67 @@ def test_expose_matches_recursive_reference(seed):
     assert seen                        # the trees do expose something
 
 
+# -- event serials ---------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["configure", "map", "unmap", "destroy"])
+def test_unselected_structure_event_takes_one_serial(kind):
+    """Under an unmapped parent a window request makes one structure
+    event and no Expose; with nobody selecting it the event is not
+    built, yet the next delivered event's serial counts it."""
+    server = XServer()
+    client = server.connect()
+    hidden = server.create_window(client, server.root.id, 0, 0, 50, 50)
+    wid = server.create_window(client, hidden, 5, 5, 10, 10)
+    if kind == "unmap":
+        server.map_window(wid)
+    watched = server.create_window(client, server.root.id, 0, 0, 5, 5)
+    server.select_input(client, watched, ev.PROPERTY_CHANGE_MASK)
+    start = next(ev._serial)
+    if kind == "configure":
+        server.configure_window(wid, width=20)
+    else:
+        getattr(server, kind + "_window")(wid)
+    server.change_property(watched, 1, 1, "x")
+    [event] = client.queue
+    assert (event.type, event.serial) == (ev.PROPERTY_NOTIFY, start + 2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unselected_events_keep_the_serials_of_selected_ones(seed):
+    """Each delivered structure or Expose event carries the serial it
+    has when every window selects both kinds, so every event is built:
+    an unselected event, and each band of an unselected Expose, takes
+    exactly one serial."""
+    def run(select_all):
+        rng, server, client, windows = _random_tree(seed)
+        mask = ev.STRUCTURE_NOTIFY_MASK | ev.EXPOSURE_MASK
+        if not select_all:
+            # Reach the root's children through the parent instead;
+            # windows created below inherit the root's mask.
+            mask = ev.SUBSTRUCTURE_NOTIFY_MASK | ev.EXPOSURE_MASK
+            windows = [server.root]
+        for window in windows:
+            server.select_input(client, window.id, mask)
+        start = next(ev._serial)
+        for _ in range(200):
+            _random_request(rng, server, client)
+        taken = next(ev._serial) - start
+        return taken, {event.serial - start: (
+            event.type, event.window, event.x, event.y, event.width,
+            event.height) for event in client.queue}
+
+    taken, every = run(select_all=True)
+    partial_taken, partial = run(select_all=False)
+    assert partial_taken == taken
+    assert partial.items() <= every.items()
+    assert len(partial) < len(every)
+    kinds = {ev.EXPOSE, ev.CONFIGURE_NOTIFY, ev.MAP_NOTIFY,
+             ev.UNMAP_NOTIFY, ev.DESTROY_NOTIFY}
+    assert {fields[0] for fields in every.values()} == kinds
+    assert {fields[0] for fields in partial.values()} & kinds - \
+        {ev.EXPOSE}
+
+
 # -- pointer window ---------------------------------------------------------
 
 class _AlwaysDescend(XServer):
