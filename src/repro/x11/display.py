@@ -7,6 +7,13 @@ without waiting are plain calls; requests that need a server reply go
 through the server's round-trip counter, so the traffic-saving claims
 of the paper's section 3.3 can be measured per display.
 
+Every request leaves through the transport (:mod:`repro.x11.transport`)
+as one of three frames: a reply-bearing request as a REQUEST
+(``transport.request``), an unbuffered one-way request as a ONEWAY
+(``transport.oneway``), and the output buffer as a BATCH
+(``transport.deliver_batch``).  All three take the same path into the
+server, which journals each request under this display's client.
+
 Output buffering (the Xlib cost model the paper's §3.3 argument rests
 on): with ``buffering_enabled``, one-way requests do not touch the
 server at all — they enqueue into a per-display output buffer that is
@@ -27,8 +34,9 @@ the same window are dropped, duplicate ``select_input``/non-append
 win).  A configure merges at enqueue time into the window's buffered
 configure while that configure is still the last buffered request
 addressing the window, so :meth:`pending_output` counts the buffer
-after that merge; the flush-time pass (:func:`_coalesce`) does the
-rest, including the configure merges only a later ``clear_window`` can
+after that merge; the flush-time pass (:func:`_coalesce`, called only
+by :meth:`flush`, over a buffer of one-way requests) does the rest,
+including the configure merges only a later ``clear_window`` can
 allow.  Every dropped or merged request is counted in
 ``x11.requests_coalesced`` at flush.  Coalescing never reorders the
 surviving requests, so event-generation order is preserved.
@@ -50,20 +58,6 @@ from .xserver import Client, XConnectionLost, XProtocolError, XServer
 #: One-way requests whose drawing output a later clear_window wipes.
 _DRAW_OPS = frozenset(("fill_rectangle", "draw_rectangle", "draw_line",
                        "draw_string", "clear_window"))
-
-#: Reply-bearing request names.  Normally these never enter the output
-#: buffer (a reply-bearing call flushes first), but replay and fuzz
-#: harnesses hand :meth:`XServer.deliver_batch` recorded op lists that
-#: can interleave them with one-ways.  Any of these is a coalescing
-#: *barrier*: its reply observes server state, so requests on either
-#: side of it must not merge across it — an interleaved
-#: ``get_geometry`` must see the configure before it, not a merged
-#: configure that was hoisted past it.
-_REPLY_OPS = frozenset((
-    "create_window", "get_geometry", "window_exists", "query_tree",
-    "intern_atom", "get_atom_name", "get_property",
-    "get_selection_owner", "alloc_named_color", "load_font",
-    "create_cursor", "create_bitmap", "create_gc", "sync"))
 
 
 def _coalesce(ops: List[tuple]) -> Tuple[List[tuple], int]:
@@ -88,6 +82,9 @@ def _coalesce(ops: List[tuple]) -> Tuple[List[tuple], int]:
       fields win) when no intervening buffered request addresses that
       window, turning a resize storm into one configure + one
       ConfigureNotify/Expose.
+
+    The buffer holds one-way requests only (a reply-bearing request
+    flushes it first), so no rule has a reply to keep ordered.
     """
     dropped = 0
     keep = [True] * len(ops)
@@ -100,13 +97,7 @@ def _coalesce(ops: List[tuple]) -> Tuple[List[tuple], int]:
     selected: Set[Tuple[int, int]] = set()
     for index in range(len(ops) - 1, -1, -1):
         name, window, args, kwargs = ops[index]
-        if name in _REPLY_OPS:
-            # A reply observes server state: nothing written before it
-            # may be superseded by a write after it.
-            cleared.clear()
-            overwritten.clear()
-            selected.clear()
-        elif name == "destroy_window":
+        if name == "destroy_window":
             cleared.discard(window)
             overwritten = {key for key in overwritten
                            if key[0] != window}
@@ -142,11 +133,7 @@ def _coalesce(ops: List[tuple]) -> Tuple[List[tuple], int]:
     for index, (name, window, args, kwargs) in enumerate(ops):
         if not keep[index]:
             continue
-        if name in _REPLY_OPS:
-            # Barrier: a later configure must not merge into one
-            # delivered before this reply was taken.
-            merge_into.clear()
-        elif name == "configure_window":
+        if name == "configure_window":
             target = merge_into.get(window)
             if target is not None:
                 merged = dict(ops[target][3])

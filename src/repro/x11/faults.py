@@ -155,10 +155,6 @@ class FaultPlan:
         self._busy = False        # reentrancy guard while firing a fault
         #: per-type x11.faults counters once bound to a metrics registry
         self._metric_counters: Optional[Dict[str, object]] = None
-        #: journal hot handle (set by XServer.attach_journal); faults
-        #: are recorded for forensics, and a replay re-creates them by
-        #: rebuilding the plan from the journal header's spec.
-        self._jrec = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -189,18 +185,19 @@ class FaultPlan:
             counter.value = self.counters[kind]
             self._metric_counters[kind] = counter
 
-    def _record(self, kind: str, detail: str, server=None) -> None:
+    def _record(self, kind: str, detail: str, server) -> None:
         self.counters[kind] += 1
         if self._metric_counters is not None:
             self._metric_counters[kind].value += 1
-        if self._jrec is not None:
-            self._jrec.fault(kind, detail)
+        jrec = server._jrec
+        if jrec is not None:
+            # Faults are journaled for forensics; a replay re-creates
+            # them by rebuilding the plan from the journal header's spec.
+            jrec.fault(kind, detail)
         if _trace._ACTIVE:
             # A fault span per injected action; inside a traced request
             # it parents under the issuing client's wire span.
-            _trace.record_fault(kind, detail,
-                                server._trace_ctx
-                                if server is not None else None)
+            _trace.record_fault(kind, detail, server._trace_ctx)
         self.log.append((self._request_index, kind, detail))
 
     # ------------------------------------------------------------------

@@ -39,13 +39,25 @@ requests; ``x11.wire.backpressure`` counts short writes on a
 connection whose peer is slow to read.  The ``transport=`` label keeps
 mixed-transport fleets from folding both paths into one series.
 
-When a span tracer is active (:mod:`repro.obs.trace`), both transports
-open a *wire span* per outbound BATCH/REQUEST/ONEWAY frame, stamp its
-id into the frame's trace-context field, and set ``server._trace_ctx``
-for the duration of the server-side handling, so the server's per-tick
-handle spans stitch into the client's causal tree identically on both
-transports.  With no tracer active the frames carry no context and are
-byte-identical to the untraced codec.
+One request path: a Display's ``deliver_batch``, ``request`` and
+``oneway`` calls each send one BATCH, REQUEST or ONEWAY frame through
+:meth:`Transport._exchange`, which opens the frame's wire span and
+times a REQUEST's round trip around the transport's own ``_carry``
+(loopback: count the frame's bytes, call the server, count the
+answer's; socket: encode, send, await the answer).  On the server side
+both the loopback ``_carry`` and the socket host hand the decoded
+payload to one entry, ``XServer._serve``, which owns the rules for
+serving a frame: the trace context and the journal's client for its
+ticks, a lost connection as the error of a request whose client a
+fault plan closed, and the scrub of that client afterwards.  A
+transport never writes server state itself.
+
+When a span tracer is active (:mod:`repro.obs.trace`), the wire span's
+id is stamped into the frame's trace-context field and ``_serve``
+parents the server's per-tick handle spans under it, so they stitch
+into the client's causal tree identically on both transports.  With no
+tracer active the frames carry no context and are byte-identical to
+the untraced codec.
 
 Input injection (``warp_pointer`` and friends) runs on the server
 thread, and requests a client has already buffered must reach the
@@ -73,8 +85,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from . import wire
-from .xserver import (XConnectionLost, XProtocolError, XServer,
-                      lost_if_closed)
+from .xserver import XConnectionLost, XProtocolError, XServer
 from ..obs import trace as _trace
 
 __all__ = [
@@ -86,6 +97,10 @@ __all__ = [
 RTT_BUCKETS = (1, 2, 5, 10, 20, 50, 100)
 
 _LOST = "connection to X server lost"
+
+#: the frame that answers each request frame when it succeeds
+_ANSWER = {wire.BATCH: wire.BATCH_ACK, wire.REQUEST: wire.REPLY,
+           wire.ONEWAY: wire.ONEWAY_ACK}
 
 #: Outbound buffer cap per connection; past this the server closes the
 #: unresponsive client down, as a real server does when a consumer
@@ -140,6 +155,35 @@ class Transport:
         self._wall_clock = clock
         self.wall_rtt_ns = []
         return self.wall_rtt_ns
+
+    def _exchange(self, ftype: int, value, name: str, queue_ms: int = 0):
+        """Send one BATCH, REQUEST or ONEWAY frame and return what its
+        answer carries: the request path of every transport.
+
+        Around the transport's own :meth:`_carry` it opens the frame's
+        wire span when a tracer is active and, for a REQUEST, observes
+        the round-trip time.  ``deliver_batch``, ``request`` and
+        ``oneway`` are defined on each transport class, where the
+        benchmark's tracer (perfbench/tracing.py) wraps them.
+        """
+        ctx, spans = (_trace.open_wire(name, queue_ms)
+                      if _trace._ACTIVE else (None, ()))
+        try:
+            if ftype != wire.REQUEST:
+                return self._carry(ftype, value, ctx)
+            started = self.server.time_ms
+            wall = self._wall_clock() \
+                if self._wall_clock is not None else None
+            try:
+                return self._carry(ftype, value, ctx)
+            finally:
+                self._telemetry.rtt_ms.observe(
+                    self.server.time_ms - started)
+                if wall is not None:
+                    self.wall_rtt_ns.append(self._wall_clock() - wall)
+        finally:
+            if spans:
+                _trace.close_wire(ctx, spans)
 
 
 # ----------------------------------------------------------------------
@@ -229,90 +273,33 @@ class LoopbackTransport(Transport):
     # -- request paths -------------------------------------------------
 
     def deliver_batch(self, ops, queue_ms: int = 0) -> int:
-        ops = list(ops)
-        ctx, spans = (_trace.open_wire("batch", queue_ms)
-                      if _trace._ACTIVE else (None, ()))
-        server = self.server
-        prev_ctx = server._trace_ctx
-        try:
-            self._count_out(wire.BATCH, ops, ctx)
-            server._trace_ctx = ctx
-            try:
-                delivered = server.deliver_batch(self.client, ops)
-            except XProtocolError as error:
-                self._count_in(wire.ERROR, wire.error_value(error))
-                raise
-            self._count_in(wire.BATCH_ACK, delivered)
-            return delivered
-        finally:
-            server._trace_ctx = prev_ctx
-            if spans:
-                _trace.close_wire(ctx, spans)
+        return self._exchange(wire.BATCH, list(ops), "batch", queue_ms)
 
     def request(self, name: str, *args, **kwargs):
-        ctx, spans = (_trace.open_wire(name)
-                      if _trace._ACTIVE else (None, ()))
-        server = self.server
-        prev_ctx = server._trace_ctx
-        try:
-            self._count_out(wire.REQUEST, (name, args, kwargs), ctx)
-            server._jclient = self.client.number
-            started = server.time_ms
-            wall = self._wall_clock() \
-                if self._wall_clock is not None else None
-            server._trace_ctx = ctx
-            try:
-                result = getattr(server, name)(*args, **kwargs)
-            except XProtocolError as error:
-                error = lost_if_closed(self.client, error)
-                self._count_in(wire.ERROR, wire.error_value(error))
-                self._observe_rtt(started, wall)
-                self._scrub_if_closed()
-                raise error
-            self._count_in(wire.REPLY, result)
-            self._observe_rtt(started, wall)
-            self._scrub_if_closed()
-            return result
-        finally:
-            server._trace_ctx = prev_ctx
-            if spans:
-                _trace.close_wire(ctx, spans)
+        return self._exchange(wire.REQUEST, (name, args, kwargs), name)
 
     def oneway(self, name: str, window, args, kwargs) -> None:
-        ctx, spans = (_trace.open_wire(name)
-                      if _trace._ACTIVE else (None, ()))
-        server = self.server
-        prev_ctx = server._trace_ctx
+        self._exchange(wire.ONEWAY, (name, window, args, kwargs), name)
+
+    def _carry(self, ftype: int, value, ctx: Optional[int]):
+        # Count the frame, let the server serve it in-process, count
+        # the answer.  A REQUEST is (name, args, kwargs) and a ONEWAY
+        # (name, window, args, kwargs): both start with the handler's
+        # name and end with its arguments.
+        self._count_out(ftype, value, ctx)
+        if ftype == wire.BATCH:
+            name, args, kwargs = None, value, None
+        else:
+            name, args, kwargs = value[0], value[-2], value[-1]
         try:
-            self._count_out(wire.ONEWAY, (name, window, args, kwargs),
-                            ctx)
-            server._trace_ctx = ctx
-            try:
-                getattr(server, name)(*args, **kwargs)
-            except XProtocolError as error:
-                error = lost_if_closed(self.client, error)
-                self._count_in(wire.ERROR, wire.error_value(error))
-                self._scrub_if_closed()
-                raise error
-            self._count_in(wire.ONEWAY_ACK, None)
-            self._scrub_if_closed()
-        finally:
-            server._trace_ctx = prev_ctx
-            if spans:
-                _trace.close_wire(ctx, spans)
-
-    def _observe_rtt(self, started: int, wall: Optional[int]) -> None:
-        self._telemetry.rtt_ms.observe(self.server.time_ms - started)
-        if wall is not None:
-            self.wall_rtt_ns.append(self._wall_clock() - wall)
-
-    def _scrub_if_closed(self) -> None:
-        # A scripted fault may have closed this connection during the
-        # request's own tick, after close-down but before the request
-        # body re-registered state; nothing may survive for a closed
-        # client (the fuzzer's census oracle checks exactly this).
-        if self.client.closed:
-            self.server._scrub_closed(self.client)
+            result = self.server._serve(self.client, ctx, name, args,
+                                        kwargs)
+        except XProtocolError as error:
+            self._count_in(wire.ERROR, wire.error_value(error))
+            raise
+        self._count_in(_ANSWER[ftype],
+                       None if ftype == wire.ONEWAY else result)
+        return result
 
     # -- event queue ---------------------------------------------------
 
@@ -680,58 +667,46 @@ class ServerHost:
         XProtocolError naming the request, so one bad frame cannot kill
         the host thread.
         """
-        server = self.server
         name = wire.frame_name(ftype)
-        prev_ctx = server._trace_ctx
-        server._trace_ctx = ctx
         try:
             if ftype == wire.BATCH:
                 ops = [tuple(op) for op in value]
                 for op in ops:
-                    self._handler(op[0])
+                    self._check_request(op[0])
+                result = self.server._serve(conn.client, ctx, None, ops)
+            else:
+                if ftype == wire.REQUEST:
+                    name, args, kwargs = value
+                else:
+                    name, _window, args, kwargs = value
+                self._check_request(name)
+                result = self.server._serve(conn.client, ctx, name, args,
+                                            kwargs)
+            try:
                 reply = wire.encode_frame(
-                    wire.BATCH_ACK, server.deliver_batch(conn.client, ops))
-            elif ftype == wire.REQUEST:
-                name, args, kwargs = value
-                server._jclient = conn.client.number
-                result = self._handler(name)(*args, **kwargs)
-                try:
-                    reply = wire.encode_frame(wire.REPLY, result)
-                except wire.WireError as error:
-                    raise XProtocolError("unencodable reply from %s: %s"
-                                         % (name, error))
-            else:
-                name, _window, args, kwargs = value
-                self._handler(name)(*args, **kwargs)
-                reply = wire.encode_frame(wire.ONEWAY_ACK, None)
+                    _ANSWER[ftype], None if ftype == wire.ONEWAY else result)
+            except wire.WireError as error:
+                raise XProtocolError("unencodable reply from %s: %s"
+                                     % (name, error))
+        except XConnectionLost as error:
+            conn.lost_sent = True
+            conn.send_error(error)
+            conn.flush_writes()
+            conn.close()
         except XProtocolError as error:
-            error = lost_if_closed(conn.client, error)
-            if isinstance(error, XConnectionLost):
-                conn.lost_sent = True
-                conn.send_error(error)
-                conn.flush_writes()
-                conn.close()
-            else:
-                conn.send_error(error)
+            conn.send_error(error)
         except Exception as error:
             conn.send_error(XProtocolError(
                 "BadRequest: %s failed: %s: %s"
                 % (name, type(error).__name__, error)))
         else:
             conn.send(reply)
-        finally:
-            server._trace_ctx = prev_ctx
-        if ftype != wire.BATCH and conn.client.closed:
-            server._scrub_closed(conn.client)
 
-    def _handler(self, name):
-        """The server method a request names; private names are refused."""
-        handler = None
-        if type(name) is str and not name.startswith("_"):
-            handler = getattr(self.server, name, None)
-        if not callable(handler):
+    def _check_request(self, name) -> None:
+        """Refuse a name that is not a public server request."""
+        if type(name) is not str or name.startswith("_") or \
+                not callable(getattr(self.server, name, None)):
             raise XProtocolError("BadRequest: no such request %r" % (name,))
-        return handler
 
     def _drop_conn(self, conn: _Conn) -> None:
         """Protocol violation or EOF without BYE: server-side close."""
@@ -923,46 +898,17 @@ class SocketTransport(Transport):
     # -- request paths -------------------------------------------------
 
     def deliver_batch(self, ops, queue_ms: int = 0) -> int:
-        ctx, spans = (_trace.open_wire("batch", queue_ms)
-                      if _trace._ACTIVE else (None, ()))
-        try:
-            self._send(wire.encode_frame(wire.BATCH, list(ops), ctx))
-            return self._await_reply(wire.BATCH_ACK)
-        finally:
-            if spans:
-                _trace.close_wire(ctx, spans)
+        return self._exchange(wire.BATCH, list(ops), "batch", queue_ms)
 
     def request(self, name: str, *args, **kwargs):
-        ctx, spans = (_trace.open_wire(name)
-                      if _trace._ACTIVE else (None, ()))
-        try:
-            started = self.server.time_ms
-            wall = self._wall_clock() \
-                if self._wall_clock is not None else None
-            self._send(wire.encode_frame(wire.REQUEST,
-                                         (name, args, kwargs), ctx))
-            try:
-                return self._await_reply(wire.REPLY)
-            finally:
-                self._telemetry.rtt_ms.observe(
-                    self.server.time_ms - started)
-                if wall is not None:
-                    self.wall_rtt_ns.append(self._wall_clock() - wall)
-        finally:
-            if spans:
-                _trace.close_wire(ctx, spans)
+        return self._exchange(wire.REQUEST, (name, args, kwargs), name)
 
     def oneway(self, name: str, window, args, kwargs) -> None:
-        ctx, spans = (_trace.open_wire(name)
-                      if _trace._ACTIVE else (None, ()))
-        try:
-            self._send(wire.encode_frame(wire.ONEWAY,
-                                         (name, window, args, kwargs),
-                                         ctx))
-            self._await_reply(wire.ONEWAY_ACK)
-        finally:
-            if spans:
-                _trace.close_wire(ctx, spans)
+        self._exchange(wire.ONEWAY, (name, window, args, kwargs), name)
+
+    def _carry(self, ftype: int, value, ctx: Optional[int]):
+        self._send(wire.encode_frame(ftype, value, ctx))
+        return self._await_reply(_ANSWER[ftype])
 
     # -- event queue ---------------------------------------------------
 

@@ -76,7 +76,6 @@ and the same :class:`WireError` on every truncated or mangled frame.
 
 from __future__ import annotations
 
-import operator
 import struct
 from typing import Callable, List, Optional, Tuple
 
@@ -401,10 +400,9 @@ def encode_frame(ftype: int, value=None, ctx: Optional[int] = None
 
 
 def _value_size(value) -> int:
-    # Mirrors _encode_value case for case (same WireError on
-    # unencodable values) without materialising bytes.  Exact-type
-    # checks first — this runs on every loopback request and event —
-    # with an isinstance chain below for subclasses.
+    # The encoded size of the values requests and events are made of,
+    # by exact type, without materialising bytes: this runs on every
+    # loopback request and event.  Anything else is encoded to size it.
     if value is None or value is True or value is False:
         return 1
     kind = type(value)
@@ -434,11 +432,18 @@ def _value_size(value) -> int:
         return 9
     if kind is GraphicsContext:
         return 1 + _value_size(value.gid) + _value_size(value.values)
-    return _value_size_slow(value)
+    return _encoded_size(value)
 
 
-#: the Event fields in wire order, as the general sizing path reads them
-_event_values = operator.itemgetter(*WIRE_FIELDS)
+def _encoded_size(value) -> int:
+    # The sizers' fallback (subclasses, bytes, colors, fonts, events of
+    # an odd shape): encode into scratch and measure, so the size and
+    # any WireError are encode_frame's own.
+    scratch = bytearray()
+    _encode_value(value, scratch)
+    return len(scratch)
+
+
 #: the sixteen int fields of the common shape, range-checked in one call
 _EVENT_INTS = struct.Struct(">16q")
 #: frame bytes of a common-shape Event, apart from its two strings'
@@ -452,8 +457,7 @@ def _event_size(event) -> int:
     # Server-built events have one shape — exact ints within i64, ASCII
     # strings, empty data, a bool — whose size is a constant plus the
     # string lengths.  Anything else (bools or floats in int fields,
-    # big ints, non-ASCII text, data items) is sized field by field by
-    # the general path, which raises encode_frame's WireError.  Every
+    # big ints, non-ASCII text, data items) is encoded to size it.  Every
     # wire field is a plain dataclass attribute, so the instance dict
     # lookup is exactly getattr.  The fields are read into locals, at
     # most three per statement: unpacking a longer tuple would allocate
@@ -488,50 +492,7 @@ def _event_size(event) -> int:
             pass                # an int outside i64: sized below
         else:
             return _EVENT_FIXED + len(keysym) + len(keychar)
-    return 2 + sum(map(_value_size, _event_values(fields)))
-
-
-def _value_size_slow(value) -> int:
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            return 9
-        return 5 + (value.bit_length() + 8) // 8
-    if isinstance(value, str):
-        if value.isascii():
-            return 5 + len(value)
-        return 5 + len(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return 5 + len(value)
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, (list, tuple)):
-        return 5 + sum(_value_size(item) for item in value)
-    if isinstance(value, dict):
-        return 5 + sum(_value_size(key) + _value_size(item)
-                       for key, item in value.items())
-    if isinstance(value, Event):
-        return 2 + sum(_value_size(getattr(value, name))
-                       for name in WIRE_FIELDS)
-    if isinstance(value, GraphicsContext):
-        return 1 + _value_size(value.gid) + _value_size(value.values)
-    if isinstance(value, Color):
-        return 1 + sum(_value_size(field) for field in
-                       (value.pixel, value.red, value.green, value.blue))
-    if isinstance(value, Font):
-        return 1 + sum(_value_size(field) for field in
-                       (value.fid, value.name, value.char_width,
-                        value.ascent, value.descent))
-    if isinstance(value, Cursor):
-        return 1 + _value_size(value.cid) + _value_size(value.name)
-    if isinstance(value, Bitmap):
-        return 1 + sum(_value_size(field) for field in
-                       (value.bid, value.name, value.width, value.height))
-    if isinstance(value, (Client, ClientRef)):
-        return 9
-    raise WireError("unencodable value of type %s: %r"
-                    % (type(value).__name__, value))
+    return _encoded_size(event)
 
 
 def _batch_size(ops: list) -> int:

@@ -87,18 +87,6 @@ def _batch_lost(delivered: int, total: int) -> XConnectionLost:
                            "after %d of %d requests)" % (delivered, total))
 
 
-def lost_if_closed(client, error: XProtocolError) -> XProtocolError:
-    """The error a failed request of ``client`` surfaces.
-
-    A fault plan can close the connection at the request's own tick;
-    the request then fails on the client's destroyed windows.  The
-    lost connection is the error, not the ``BadWindow`` it caused.
-    """
-    if client.closed and not isinstance(error, XConnectionLost):
-        return XConnectionLost("connection to X server lost")
-    return error
-
-
 def _selects(window: Window, mask: int) -> bool:
     """True if some client selected an event of ``mask`` on ``window``."""
     for selected in window.event_selections.values():
@@ -188,8 +176,9 @@ class XServer:
         #: handle — None unless recording, so ``_tick`` pays one test.
         self.journal = None
         self._jrec = None
-        #: client number / operand window / argument digest attributed
-        #: to the next tick
+        #: number of the client whose frame :meth:`_serve` is serving
+        #: (None outside one: input injection, bare-client calls), and
+        #: the operand window / argument digest of the next batched tick
         self._jclient: Optional[int] = None
         self._jwindow: Optional[int] = None
         self._jdetail: Optional[str] = None
@@ -201,7 +190,7 @@ class XServer:
         #: the tracer logs deliveries instead of re-attributing them
         self._delivering_batch = False
         #: propagated trace context of the frame being handled; set by
-        #: the transports around each BATCH/REQUEST/ONEWAY delivery so
+        #: :meth:`_serve` around each BATCH/REQUEST/ONEWAY frame so
         #: ``_tick`` can record server-side handle spans under the
         #: issuing client's wire span (None = untraced traffic)
         self._trace_ctx = None
@@ -281,10 +270,9 @@ class XServer:
         state for a connection that no longer exists (an event
         selection on the root window, a selection claim, a window),
         and the fuzzer's post-destroy resource census would count it
-        as a close-down leak.  :meth:`deliver_batch` and the transports
-        call this after serving any request for a now-closed client;
-        it is idempotent and a no-op when close-down left nothing
-        behind.
+        as a close-down leak.  :meth:`_serve` calls this after serving
+        any frame for a now-closed client; it is idempotent and a no-op
+        when close-down left nothing behind.
         """
         if not client.closed:
             return
@@ -307,7 +295,6 @@ class XServer:
         """Attach a :class:`~repro.x11.faults.FaultPlan` to this server."""
         self.fault_plan = plan
         plan.bind_metrics(self.obs.metrics)
-        plan._jrec = self._jrec
         return plan
 
     def clear_fault_plan(self) -> None:
@@ -331,8 +318,6 @@ class XServer:
         # Ring evictions are silent telemetry loss; surface them next
         # to every other server metric (obs.journal.dropped).
         journal.bind_metrics(self.obs.metrics)
-        if self.fault_plan is not None:
-            self.fault_plan._jrec = journal
         return journal
 
     def detach_journal(self) -> None:
@@ -340,8 +325,6 @@ class XServer:
         if self.journal is not None:
             self.journal.recording = False
         self._jrec = None
-        if self.fault_plan is not None:
-            self.fault_plan._jrec = None
 
     # ------------------------------------------------------------------
     # resource census (invariant oracle API — see repro.fuzz.oracles)
@@ -505,12 +488,12 @@ class XServer:
         real wire the later requests were already written and the
         server processes them — but the first error is re-raised once
         the batch completes, which is this simulator's stand-in for the
-        asynchronous X error event.
+        asynchronous X error event.  Transports reach it through
+        :meth:`_serve`, which attributes the batch's ticks to ``client``.
         """
         if not ops:
             return 0
         first_error: Optional[XProtocolError] = None
-        self._jclient = client.number
         if self._jrec is not None:
             self._jrec.batch(client.number, ops)
         try:
@@ -544,19 +527,50 @@ class XServer:
                 delivered += 1
         finally:
             self._delivering_batch = False
-            self._jclient = None
             self._jwindow = None
             self._jdetail = None
-            # A fault plan may have closed the connection mid-batch;
-            # requests that executed between the close-down and the
-            # abort check may have re-registered state for the dead
-            # client.  Scrub it on every exit path, or the census
-            # oracle false-positives on the surviving remnants.
-            if client.closed:
-                self._scrub_closed(client)
         if first_error is not None:
             raise first_error
         return delivered
+
+    def _serve(self, client: Client, ctx, name: Optional[str], args,
+               kwargs=None):
+        """Serve one BATCH, REQUEST or ONEWAY frame of ``client``: the
+        one path both transports take into the server.
+
+        ``name`` None is a BATCH, whose op list ``args`` goes to
+        :meth:`deliver_batch`; otherwise the request handler ``name``
+        runs with ``args`` and ``kwargs``.  While it runs, the frame's
+        trace context ``ctx`` parents the server's handle spans and
+        ``client`` is the journal's client for every tick; both are
+        restored afterwards.
+
+        A fault plan can close the connection at the frame's own tick;
+        the request then fails on the client's destroyed windows, and
+        the lost connection is the error, not the ``BadWindow`` it
+        caused.  A closed client is scrubbed on every exit path:
+        requests that ran after the close-down may have re-registered
+        state for it, and the census oracle would count the remnants
+        as a leak.  Any other exception propagates unchanged (loopback
+        raises it in-process; the socket host answers it as a bad
+        request).
+        """
+        prev_ctx, prev_client = self._trace_ctx, self._jclient
+        self._trace_ctx = ctx
+        self._jclient = client.number
+        try:
+            if name is None:
+                return self.deliver_batch(client, args)
+            return getattr(self, name)(*args, **kwargs)
+        except XProtocolError as error:
+            if client.closed and not isinstance(error, XConnectionLost):
+                raise XConnectionLost("connection to X server lost")
+            raise
+        finally:
+            if client.closed:
+                self._scrub_closed(client)
+            self._trace_ctx = prev_ctx
+            self._jclient = prev_client
 
     @property
     def round_trips(self) -> int:
@@ -1172,7 +1186,6 @@ class XServer:
         self._drain_client_output()
         if self._jrec is not None:
             self._jrec.input("warp_pointer", (root_x, root_y, state))
-        self._jclient = None
         self._tick("warp_pointer")
         self.pointer_x = root_x
         self.pointer_y = root_y
@@ -1220,7 +1233,6 @@ class XServer:
         self._drain_client_output()
         if self._jrec is not None:
             self._jrec.input(name, (button, state))
-        self._jclient = None
         self._tick("button_event")
         window = self.pointer_window
         x, y = window.root_position()
@@ -1245,7 +1257,6 @@ class XServer:
         self._drain_client_output()
         if self._jrec is not None:
             self._jrec.input(name, (keysym, state, window_id))
-        self._jclient = None
         self._tick("key_event")
         from .keysyms import char_for_keysym
         if window_id is not None:

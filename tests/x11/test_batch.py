@@ -247,79 +247,19 @@ class TestCoalescing:
         assert display.get_property(win, a)[1] == "one"
         assert display.get_property(win, b)[1] == "two"
 
-
-class TestReplyBarriers:
-    """Satellite regression: reply-bearing ops are coalescing barriers.
-
-    Replayed and fuzzed op lists hand :func:`_coalesce` buffers where
-    reply-bearing requests interleave with one-ways.  A reply observes
-    server state, so nothing may merge or be superseded across it —
-    otherwise the replay sees a different interleaving than the
-    recording did.
-    """
-
-    def _coalesce(self, ops):
+    def test_flush_pass_merges_plain_runs(self):
+        """The flush-time pass alone: a configure run merges and a
+        select_input run keeps its last write."""
         from repro.x11.display import _coalesce
-        return _coalesce(list(ops))
-
-    def test_configures_do_not_merge_across_reply(self):
-        ops = [("configure_window", 5, (), {"width": 20}),
-               ("get_geometry", 5, (5,), {}),
-               ("configure_window", 5, (), {"width": 30})]
-        kept, dropped = self._coalesce(ops)
-        assert dropped == 0
-        assert [op[0] for op in kept] == ["configure_window",
-                                          "get_geometry",
-                                          "configure_window"]
-        assert kept[0][3] == {"width": 20}   # not merged forward
-
-    def test_clear_does_not_supersede_draw_across_reply(self):
-        ops = [("draw_line", 5, (5, 1, 0, 0, 9, 9), {}),
-               ("get_geometry", 5, (5,), {}),
-               ("clear_window", 5, (5,), {})]
-        kept, dropped = self._coalesce(ops)
-        assert dropped == 0
-        assert [op[0] for op in kept] == ["draw_line", "get_geometry",
-                                          "clear_window"]
-
-    def test_property_write_survives_across_reply(self):
-        ops = [("change_property", 5, (5, 7, 7, "old"), {}),
-               ("get_property", 5, (5, 7, False), {}),
-               ("change_property", 5, (5, 7, 7, "new"), {})]
-        kept, dropped = self._coalesce(ops)
-        assert dropped == 0
-        assert len(kept) == 3
-
-    def test_select_input_survives_across_reply(self):
-        client = object()
-        ops = [("select_input", 5, (client, 5, 1), {}),
-               ("query_tree", 5, (5,), {}),
-               ("select_input", 5, (client, 5, 2), {})]
-        kept, dropped = self._coalesce(ops)
-        assert dropped == 0
-        assert len(kept) == 3
-
-    def test_without_barrier_rules_still_apply(self):
-        """Control: the same buffers with the reply removed do merge."""
         configures = [("configure_window", 5, (), {"width": 20}),
                       ("configure_window", 5, (), {"width": 30})]
-        kept, dropped = self._coalesce(configures)
+        kept, dropped = _coalesce(configures)
         assert dropped == 1 and kept[0][3] == {"width": 30}
         client = object()
         selects = [("select_input", 5, (client, 5, 1), {}),
                    ("select_input", 5, (client, 5, 2), {})]
-        kept, dropped = self._coalesce(selects)
+        kept, dropped = _coalesce(selects)
         assert dropped == 1 and kept[0][2][2] == 2
-
-    def test_every_reply_op_is_a_barrier(self):
-        from repro.x11.display import _REPLY_OPS
-        for name in _REPLY_OPS:
-            ops = [("configure_window", 5, (), {"width": 20}),
-                   (name, None, (), {}),
-                   ("configure_window", 5, (), {"width": 30})]
-            kept, dropped = self._coalesce(ops)
-            assert dropped == 0, name
-            assert len(kept) == 3, name
 
 
 def _sent_ops(buffered, requests, plan=None):

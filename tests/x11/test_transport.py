@@ -591,6 +591,39 @@ class TestBadRequests:
             transport.request("no_such_request")
 
 
+class TestJournalClient:
+    """Every request is journaled under the client that issued it, on
+    both transports, whatever the previous request's client was; an
+    injected input belongs to no client."""
+
+    @pytest.mark.parametrize("kind", ["loopback", "socket"])
+    def test_oneway_after_another_clients_request(self, server, kind):
+        from repro.fuzz.oracles import check_dead_client_requests
+        from repro.obs.journal import Journal
+        journal = server.attach_journal(
+            Journal(clock=lambda: server.time_ms))
+        a = Display(server, transport=kind)
+        b = Display(server, transport=kind)
+        win = b.create_window(b.root, 0, 0, 10, 10)
+        a.sync()
+        b.map_window(win)
+        a.close()
+        b.unmap_window(win)
+        if kind == "socket":
+            ensure_host(server).inject("warp_pointer", 3, 3)
+        else:
+            server.warp_pointer(3, 3)
+        requests = [(entry["name"], entry["client"])
+                    for entry in journal.entries() if entry["k"] == "req"]
+        assert requests == [
+            ("create_window", b.client.number),
+            ("sync", a.client.number),
+            ("map_window", b.client.number),
+            ("unmap_window", b.client.number),
+            ("warp_pointer", None)]
+        assert check_dead_client_requests(journal) == []
+
+
 class TestSocketFaults:
     def test_dropped_event_never_crosses_wire(self, server):
         plan = server.install_fault_plan(FaultPlan())

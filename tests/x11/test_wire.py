@@ -238,7 +238,7 @@ class TestFrameSize:
     def test_client_and_gc_arms_lockstep(self, values):
         client = XServer().connect()
         gc = GraphicsContext(gid=5, values=values)
-        with mock.patch.object(wire, "_value_size_slow",
+        with mock.patch.object(wire, "_encoded_size",
                                side_effect=AssertionError("slow path")):
             for ftype, value in self._payloads(client, gc):
                 for ctx in (None, 12345):
