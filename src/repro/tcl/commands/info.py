@@ -91,15 +91,8 @@ def cmd_info(interp, argv: List[str]) -> str:
         from ..compile import compile_script
         target = interp.commands.get(argv[2])
         if isinstance(target, Proc):
-            code = target.vm_code
-            if code is None:
-                compiled = target.compiled
-                if compiled is None:
-                    compiled = target.compiled = \
-                        compile_script(target.body)
-                code = target.vm_code = \
-                    lower.code_for_proc(interp, compiled, target)
-            return lower.disassemble(code)
+            return lower.disassemble(
+                target.vm_code or lower.code_for_proc(interp, target))
         compiled = interp.compile(argv[2])
         if isinstance(compiled, str):
             compiled = compile_script(compiled)

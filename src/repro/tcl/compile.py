@@ -18,18 +18,25 @@ pre-resolve everything that cannot change between evaluations.
   reads (:class:`_VarStep`), or nested compiled scripts
   (:class:`_CmdStep`) — no per-evaluation ``isinstance`` dispatch over
   parser fragments.
-* The command procedure named by a literal first word is memoized on
+* The argument specialization of a literal command is memoized on
   the compiled command, guarded by the interpreter's
   ``commands_epoch`` so that ``proc`` redefinition, ``rename``, and
   command deletion invalidate it immediately.
 
 Compiled objects hold no variable values and no call-frame state, so a
 :class:`CompiledScript` is safely re-entrant: the same compiled proc
-body can be executing at several stack depths at once.
+body can be executing at several stack depths at once.  Nor do they
+hold an interpreter: a script's *plan* — its compiled commands, their
+substitution plans and its lowered bytecode template — is built once
+per process and kept in one bounded LRU (:func:`plan_script`) that
+every interpreter draws from.  What belongs to one interpreter, its
+bytecode instance with the call sites' inline caches, lives on that
+interpreter's copy of the plan (:meth:`CompiledScript.instance`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Union
 
 from . import parser
@@ -96,22 +103,21 @@ class CompiledCommand:
     ``argv`` is the precomputed word list when every word is a pure
     literal (the overwhelmingly common case: ``set a 1``, ``incr i``).
 
-    ``_cmd_state`` memoizes the resolved command procedure as
-    ``(interp, epoch, proc)``; it is only consulted while the
-    interpreter's command table is unchanged (same epoch) and only ever
-    populated when the first word is literal, so ``rename``, ``proc``
-    redefinition, and command deletion take effect immediately.
-
-    ``_fast`` is an optional *argument specialization*: a command
-    procedure may carry a ``specialize`` attribute — a function taking
-    a literal argv and returning either None or a closure
-    ``fast(interp) -> str`` with the arguments pre-parsed (``set``
-    pre-splits its variable name, ``incr`` pre-parses its increment).
-    The closure is memoized under the same epoch guard as the command
-    procedure itself.
+    ``_cmd_state`` is ``(epoch, fast)``, populated only when the first
+    word is literal and used only while the command table of that epoch
+    is unchanged, so ``rename``, ``proc`` redefinition, and command
+    deletion take effect immediately.  ``fast`` is an optional
+    *argument specialization*: a command procedure may carry a
+    ``specialize`` attribute — a function taking a literal argv and
+    returning either None or a closure ``fast(interp) -> str`` with the
+    arguments pre-parsed (``set`` pre-splits its variable name,
+    ``incr`` pre-parses its increment).  Every interpreter that runs
+    the script shares this object, so the memo holds no command
+    procedure (which may hold its interpreter), and a specialization
+    closure must close over its arguments only.
     """
 
-    __slots__ = ("source", "words", "argv", "_cmd_state", "_fast")
+    __slots__ = ("source", "words", "argv", "_cmd_state")
 
     def __init__(self, source: str, words: List[Union[str, CompiledWord]]):
         self.source = source
@@ -119,7 +125,6 @@ class CompiledCommand:
         all_literal = all(type(word) is str for word in words)
         self.argv: Optional[List[str]] = list(words) if all_literal else None
         self._cmd_state = None
-        self._fast = None
 
     def execute(self, interp) -> str:
         if interp._trace_on:
@@ -145,9 +150,8 @@ class CompiledCommand:
 
     def _execute(self, interp) -> str:
         state = self._cmd_state
-        if state is not None and state[1] == interp.commands_epoch and \
-                state[0] is interp:
-            fast = self._fast
+        if state is not None and state[0] == interp.commands_epoch:
+            fast = state[1]
             if fast is not None:
                 interp._m_commands.value += 1
                 try:
@@ -159,9 +163,6 @@ class CompiledCommand:
                     converted = TclError(str(error))
                     _append_error_info(converted, self.source)
                     raise converted from error
-            proc = state[2]
-        else:
-            proc = None
         argv = self.argv
         if argv is not None:
             # Copy so a command procedure that mutates its argv cannot
@@ -170,21 +171,20 @@ class CompiledCommand:
         else:
             argv = [word if type(word) is str else word.substitute(interp)
                     for word in self.words]
+        proc = interp.commands.get(argv[0])
         if proc is None:
-            proc = interp.commands.get(argv[0])
-            if proc is None:
-                # Missing command: fall back to the interpreter's
-                # ``unknown`` handling.  Never memoized, so a handler
-                # that defines the command is picked up next time.
-                return interp._invoke(argv, self.source)
-            if type(self.words[0]) is str:
-                fast = None
-                if self.argv is not None:
-                    special = getattr(proc, "specialize", None)
-                    if special is not None:
-                        fast = special(list(self.argv))
-                self._fast = fast
-                self._cmd_state = (interp, interp.commands_epoch, proc)
+            # Missing command: fall back to the interpreter's
+            # ``unknown`` handling.  Never memoized, so a handler that
+            # defines the command is picked up next time.
+            return interp._invoke(argv, self.source)
+        if (state is None or state[0] != interp.commands_epoch) and \
+                type(self.words[0]) is str:
+            fast = None
+            if self.argv is not None:
+                special = getattr(proc, "specialize", None)
+                if special is not None:
+                    fast = special(list(self.argv))
+            self._cmd_state = (interp.commands_epoch, fast)
         interp._m_commands.value += 1
         try:
             result = proc(interp, argv)
@@ -204,17 +204,32 @@ class CompiledScript:
     ``single`` names the only command of a one-command script (the
     normal shape for widget ``-command`` strings and simple
     benchmarks), letting the interpreter skip the command loop.
+
+    A CompiledScript is either a *plan*, shared by every interpreter
+    (``plan`` is None), or one interpreter's copy of a plan, made by
+    :meth:`instance`, which shares the plan's commands.
     """
 
-    __slots__ = ("source", "commands", "single", "vm_code")
+    __slots__ = ("source", "commands", "single", "vm_code", "plan",
+                 "proc_codes")
 
-    def __init__(self, source: str, commands: List[CompiledCommand]):
+    def __init__(self, source: str, commands: List[CompiledCommand],
+                 plan: Optional["CompiledScript"] = None):
         self.source = source
         self.commands = commands
         self.single: Optional[CompiledCommand] = \
             commands[0] if len(commands) == 1 else None
-        #: Bytecode form, built lazily by the VM on first execution.
+        #: Bytecode form, built lazily by the VM on first execution: a
+        #: plan's template or a copy's instance (see repro.tcl.lower).
         self.vm_code = None
+        self.plan = plan
+        #: On a plan used as a procedure body: formal names -> the
+        #: body's bytecode template with those formals as slots.
+        self.proc_codes: Optional[dict] = None
+
+    def instance(self) -> "CompiledScript":
+        """An interpreter's own copy of this plan."""
+        return CompiledScript(self.source, self.commands, self)
 
     def execute(self, interp) -> str:
         result = ""
@@ -261,6 +276,26 @@ def compile_script(script: str) -> CompiledScript:
     return CompiledScript(
         script, [compile_command(command)
                  for command in parser.parse_script(script)])
+
+
+#: Bounded LRU of script text -> plan, shared by every interpreter of
+#: the process (as ``expr._AST_CACHE`` shares expression trees).
+#: Overflow evicts only the least recently used plan.
+_PLANS: "OrderedDict[str, CompiledScript]" = OrderedDict()
+_PLAN_LIMIT = 2048
+
+
+def plan_script(script: str) -> CompiledScript:
+    """The process-wide plan of a script, compiled on first sight."""
+    plan = _PLANS.get(script)
+    if plan is None:
+        plan = compile_script(script)
+        if len(_PLANS) >= _PLAN_LIMIT:
+            _PLANS.popitem(last=False)
+        _PLANS[script] = plan
+    else:
+        _PLANS.move_to_end(script)
+    return plan
 
 
 def _append_error_info(error: TclError, source: str) -> None:

@@ -15,13 +15,17 @@ raises :class:`~repro.tcl.errors.TclError`.
 
 from __future__ import annotations
 
+import itertools as _itertools
 import time as _time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Union
 
 from . import parser
 from ..obs import Observability
-from .compile import CompiledScript, _append_error_info, compile_script
+# ``compile_script`` stays bound here (and in ``vm``) for tools that
+# wrap it by module, such as perfbench's ``tcl.compile`` site.
+from .compile import (CompiledScript, _append_error_info,  # noqa: F401
+                      compile_script, plan_script)
 from .errors import (TclBreak, TclContinue, TclError, TclReturn,
                      _FlowControl)
 from .lists import format_list, parse_list
@@ -35,10 +39,16 @@ CommandProc = Callable[["Interp", List[str]], Optional[str]]
 VarValue = Union[str, Dict[str, str]]
 
 _MAX_NESTING_DEPTH = 1000
-#: Bound on the LRU of compiled scripts.  Overflow evicts only the
-#: least recently used entry, so hot scripts (bindings, loop bodies)
-#: survive an application that churns through many one-off scripts.
+#: Bound on each interpreter's LRU of compiled scripts.  Overflow
+#: evicts only the least recently used entry, so hot scripts (bindings,
+#: loop bodies) survive an application that churns through many
+#: one-off scripts.
 _COMPILE_CACHE_LIMIT = 2048
+#: Source of ``commands_epoch`` values: every change to any
+#: interpreter's command table takes the next one, so an epoch names
+#: one table at one moment and compiled objects shared between
+#: interpreters can key their memos on it alone.
+_EPOCHS = _itertools.count(1)
 
 # The tree-walking tiers (``bytecode_enabled=False`` and
 # ``compile_enabled=False``) spend several Python stack frames per Tcl
@@ -125,13 +135,13 @@ class CallFrame:
 class Proc:
     """A procedure defined with the ``proc`` command.
 
-    ``compiled`` is the body compiled on first call; it lives on the
-    procedure object itself, so procedure calls never touch (or evict
-    from) the interpreter's bounded script cache.  Redefining the
-    procedure installs a fresh ``Proc`` and therefore a fresh
-    compilation.  ``vm_code`` is the bytecode form (built from
-    ``compiled`` on the first call under the VM), with the formals
-    resolved to local-variable slot indexes.
+    ``compiled`` is the body's shared plan (:func:`plan_script`),
+    taken on first call; it lives on the procedure object itself, so
+    procedure calls never touch (or evict from) the interpreter's
+    bounded script cache.  Redefining the procedure installs a fresh
+    ``Proc``.  ``vm_code`` is this procedure's bytecode instance (made
+    on the first call under the VM), with the formals resolved to
+    local-variable slot indexes.
     """
 
     __slots__ = ("name", "formals", "body", "compiled", "vm_code")
@@ -179,8 +189,9 @@ class Interp:
         #: True while the outermost VM dispatch loop runs on its own
         #: stack chunk (see ``vm.run``).
         self._vm_spaced = False
-        #: LRU of script text -> CompiledScript, bounded by
-        #: ``_compile_limit`` (an attribute so tests can shrink it).
+        #: LRU of script text -> this interpreter's copy of the
+        #: script's shared plan, bounded by ``_compile_limit`` (an
+        #: attribute so tests can shrink it).
         self._compile_cache: "OrderedDict[str, CompiledScript]" = \
             OrderedDict()
         self._compile_limit = _COMPILE_CACHE_LIMIT
@@ -215,10 +226,11 @@ class Interp:
         if obs_enabled:
             self.obs.tracer.listeners.append(self._set_trace_on)
             self._trace_on = self.obs.tracer.enabled
-        #: Bumped whenever the command table changes; compiled commands
-        #: memoize their resolved command procedure against this, so
-        #: ``rename``/redefinition/deletion invalidate instantly.
-        self.commands_epoch = 0
+        #: Renewed (from ``_EPOCHS``) whenever the command table
+        #: changes; compiled commands and bytecode memoize command
+        #: resolution against this, so ``rename``/redefinition/deletion
+        #: invalidate instantly.
+        self.commands_epoch = next(_EPOCHS)
         #: Exception types raised by the embedding's native layer (Tk
         #: sets this to ``(XProtocolError,)``) that command invocation
         #: converts into ordinary TclErrors, so scripts can ``catch``
@@ -275,7 +287,7 @@ class Interp:
     def register(self, name: str, proc: CommandProc) -> None:
         """Register (or replace) a command procedure under ``name``."""
         self.commands[name] = proc
-        self.commands_epoch += 1
+        self.commands_epoch = next(_EPOCHS)
 
     def unregister(self, name: str) -> None:
         """Delete a command; unknown names raise an error."""
@@ -283,7 +295,7 @@ class Interp:
             raise TclError('can\'t delete "%s": command doesn\'t exist'
                            % name)
         del self.commands[name]
-        self.commands_epoch += 1
+        self.commands_epoch = next(_EPOCHS)
 
     def rename(self, old: str, new: str) -> None:
         if old not in self.commands:
@@ -291,13 +303,13 @@ class Interp:
                            % old)
         if new == "":
             del self.commands[old]
-            self.commands_epoch += 1
+            self.commands_epoch = next(_EPOCHS)
             return
         if new in self.commands:
             raise TclError('can\'t rename to "%s": command already exists'
                            % new)
         self.commands[new] = self.commands.pop(old)
-        self.commands_epoch += 1
+        self.commands_epoch = next(_EPOCHS)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -453,7 +465,8 @@ class Interp:
             return ""
 
     def _compiled(self, script: str) -> CompiledScript:
-        """Look up (or build) the compiled form of a script, LRU-style."""
+        """This interpreter's compiled form of a script, LRU-style; a
+        miss copies the script's process-wide plan."""
         cache = self._compile_cache
         compiled = cache.get(script)
         if compiled is not None:
@@ -461,7 +474,7 @@ class Interp:
             cache.move_to_end(script)
             return compiled
         self._m_compile_misses.value += 1
-        compiled = compile_script(script)
+        compiled = plan_script(script).instance()
         if len(cache) >= self._compile_limit:
             cache.popitem(last=False)
         cache[script] = compiled
@@ -744,7 +757,7 @@ class Interp:
                     % name)
             formals.append(pieces)
         self.commands[name] = Proc(name, formals, body)
-        self.commands_epoch += 1
+        self.commands_epoch = next(_EPOCHS)
 
     def call_proc(self, proc: Proc, argv: List[str]) -> str:
         if self._trace_on:
@@ -762,10 +775,7 @@ class Interp:
             return self._call_proc_vm(proc, argv)
         body: Union[str, CompiledScript] = proc.body
         if self.compile_enabled:
-            compiled = proc.compiled
-            if compiled is None:
-                compiled = proc.compiled = compile_script(proc.body)
-            body = compiled
+            body = proc.compiled = proc.compiled or plan_script(proc.body)
         frame = CallFrame(level=len(self.frames), proc_name=proc.name,
                           argv=argv)
         frame.variables.update(zip((formal[0] for formal in proc.formals),

@@ -6,6 +6,11 @@ flat list of ops; this module builds that list from the unit's
 Tcl 8.0 split between tclCompile.c and tclExecute.c), and lists it for
 ``info disassemble``.  The op layouts, the plan kinds and the run-time
 rules the lowering must keep are documented in :mod:`repro.tcl.vm`.
+
+A unit is lowered once per process, into a *template* kept on the
+unit's shared plan; each interpreter runs its own *instance* of it
+(:meth:`~repro.tcl.vm.Code.instance`), which differs from the template
+only in owning its call sites' inline caches.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import List, Optional
 
 from . import vm
 from .compile import (CompiledScript, _CmdStep, _VarStep, compile_script,
-                      compile_word)
+                      compile_word, plan_script)
 from .errors import TclError
 from .expr import (_BinaryNode, _CmdNode, _ConstNode, _FuncNode, _OrNode,
                    _QuotedNode, _TernaryNode, _UnaryNode, _VarNode,
@@ -30,7 +35,8 @@ from .vm import (OP_BINARY, OP_BREAK, OP_CALL, OP_CALL_STACK, OP_CONCAT,
                  OP_JUMP, OP_JUMP_TRUTH, OP_LEAVE, OP_LOOP, OP_NEXT, OP_NOP,
                  OP_POP, OP_PUSH, OP_PUSH_RESULT, OP_PUSH_VAR_IX, OP_RETURN,
                  OP_SET_NAME, OP_SET_SLOT, OP_SUBST, OP_TEST, OP_TRUTH,
-                 OP_UNARY, _P_EXPR, _P_VAR, _P_WORD, _STACK, Code)
+                 OP_UNARY, _NO_CACHE, _P_EXPR, _P_VAR, _P_WORD, _STACK,
+                 Code)
 
 # ---------------------------------------------------------------------------
 # compilation
@@ -104,6 +110,9 @@ class _Builder:
         self._emit([OP_END, None])
         code = self.code
         code.ops = tuple(map(tuple, self.ops))
+        # A tuple, not the builder's set: most units specialize nothing,
+        # and the empty tuple costs no memory.
+        code.specialized = tuple(sorted(self.specialized))
         code.contexts = tuple(self.contexts)
         code.ncmds = len(compiled.commands)
         return code
@@ -148,7 +157,7 @@ class _Builder:
             # The commonest shape, all literal: one op.
             ops.append([OP_CALL, cmd, words[0],
                         [literal(arg) for arg in cmd.argv], None,
-                        [None, -1, None], cmd])
+                        _NO_CACHE, cmd])
             self.contexts.append(self.context)
             return
         height, context = self.height, self.context
@@ -188,7 +197,7 @@ class _Builder:
 
     def _call(self, cmd) -> None:
         words = cmd.words
-        cache = [None, -1, None]
+        cache = _NO_CACHE
         if cmd.argv is not None:
             self._emit([OP_CALL, None, words[0],
                         [literal(arg) for arg in cmd.argv], None, cache,
@@ -703,31 +712,50 @@ def _split_var_name(name: str):
     return name, None
 
 
-def code_for_script(interp, compiled: CompiledScript) -> Code:
-    """Compile a script-level unit (no local slots)."""
+def _build(compiled: CompiledScript, slot_map) -> Code:
     if vm._BUILTINS is None:
         vm._lazy_init()
-    code = _Builder(None).build(compiled)
+    return _Builder(slot_map).build(compiled)
+
+
+def code_for_script(interp, compiled: CompiledScript) -> Code:
+    """The bytecode of a script-level unit (no local slots), stored as
+    ``compiled.vm_code``: for an interpreter's copy, an instance of its
+    plan's template (counted in ``tcl.vm.compiles``); for a plan run
+    directly, the template itself."""
+    plan = compiled.plan
+    if plan is None:
+        code = compiled.vm_code = _build(compiled, None)
+        return code
+    template = plan.vm_code
+    if template is None:
+        template = plan.vm_code = _build(plan, None)
+    code = compiled.vm_code = template.instance()
     interp._m_vm_compiles.value += 1
-    compiled.vm_code = code
     return code
 
 
-def code_for_proc(interp, compiled: CompiledScript, proc) -> Code:
-    """Compile a procedure body with formals mapped to slot indexes."""
-    if vm._BUILTINS is None:
-        vm._lazy_init()
-    slot_map = {}
-    for position, formal in enumerate(proc.formals):
+def code_for_proc(interp, proc) -> Code:
+    """The bytecode instance of a procedure body with its formals
+    mapped to slot indexes, stored as ``proc.vm_code``.  The template
+    is kept on the body's plan, per list of formals."""
+    compiled = proc.compiled = proc.compiled or plan_script(proc.body)
+    formals = tuple(map(tuple, proc.formals))
+    templates = compiled.proc_codes
+    if templates is None:
+        templates = compiled.proc_codes = {}
+    template = templates.get(formals)
+    if template is None:
         # A duplicated formal maps to its last position, matching the
         # dict-binding path where later positions overwrite earlier.
-        slot_map[formal[0]] = position
-    code = _Builder(slot_map).build(compiled)
-    code.proc_body = True
-    formals = proc.formals
-    if all(len(formal) == 1 for formal in formals) and \
-            (not formals or formals[-1][0] != "args"):
-        code.simple_arity = len(formals)
+        template = _build(compiled, {formal[0]: position for position, formal
+                                     in enumerate(formals)})
+        template.proc_body = True
+        if all(len(formal) == 1 for formal in formals) and \
+                (not formals or formals[-1][0] != "args"):
+            template.simple_arity = len(formals)
+        templates[formals] = template
+    code = proc.vm_code = template.instance()
     interp._m_vm_compiles.value += 1
     return code
 

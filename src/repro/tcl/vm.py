@@ -16,8 +16,7 @@ dispatch loop:
   lowered to conditional and unconditional jumps in the unit's op
   list — no command dispatch per iteration;
 * an inline cache per call site for command resolution, keyed on the
-  interpreter's ``commands_epoch`` exactly like the tree walker's
-  memoization;
+  interpreter's ``commands_epoch`` like the tree walker's memoization;
 * indexed local-variable slots: a procedure's formals are resolved to
   slot numbers at compile time, so reads and writes inside the body
   are list indexing instead of dict lookups.
@@ -33,11 +32,25 @@ revalidates that set against the live command table whenever the
 epoch moves.  The first op of every command carries a *start* record
 (the command itself when it is one op, else ``(command, end pc,
 counts)``): there, before the command substitutes any word, the loop
-checks the unit's ``(interp, epoch)`` stamp and the tracer flag.  When validation fails — someone renamed ``set``, or the
-span tracer started collecting — the loop runs the command's embedded
+checks the unit's epoch stamp and the tracer flag.  When validation
+fails — someone renamed ``set``, or the span tracer started
+collecting — the loop runs the command's embedded
 :class:`~repro.tcl.compile.CompiledCommand` on the tree path (which
 restores tree-walking semantics, trace spans included) and jumps to
 the command's end.
+
+Sharing
+-------
+
+A unit's ops are lowered once per process into a *template* on the
+script's shared plan (see :mod:`repro.tcl.lower`).  An epoch is drawn
+from one process-wide sequence, so it names one interpreter's command
+table at one moment: a validity stamp or an inline cache keyed on it
+alone can neither confuse two interpreters nor keep one alive.  The
+inline caches also hold the resolved command, which may hold its
+interpreter, so they live only on an interpreter's own *instance*
+(:meth:`Code.instance`); a template's call sites hold ``_NO_CACHE``
+and never cache.
 
 Substitutions, expressions and calls in the loop
 ------------------------------------------------
@@ -111,7 +124,8 @@ try:
 except ImportError:             # not a Unix host: never respace
     _resource = None
 
-from .compile import _append_error_info, compile_script
+# ``compile_script`` stays bound here for tools that wrap it by module.
+from .compile import _append_error_info, compile_script  # noqa: F401
 from .errors import TclBreak, TclContinue, TclError, TclReturn
 from .expr import (_BinaryNode, _call_math_function, _ConstNode,
                    _UnaryNode, _VarNode, require_int, require_number, truth)
@@ -166,6 +180,9 @@ OP_CONTINUE = 34      # target, cmd
 OP_GENERIC = 35       # cmd
 OP_NOP = 36           # -                          carries a start record
 
+#: The inline cache of a template's call site: never hit, never filled.
+_NO_CACHE = (None, None)
+
 # Word-plan kinds (see lower._Builder._plan): literal strings are stored as
 # Value objects directly; dynamic words become small tagged tuples.
 _P_VAR = 1            # (kind, name, index)   index: None | str | CompiledWord
@@ -212,10 +229,10 @@ class Code:
     """The flat opcode list of one unit (a script or a procedure body).
 
     ``slot_map`` maps formal names to slot indexes for procedure
-    bodies (None for script-level code).  ``specialized`` is the set
-    of builtin names whose semantics are baked into dedicated opcodes;
-    ``valid`` caches the last successful validation as ``(interp,
-    epoch)``.  ``ncmds`` is the number of top-level commands (what one
+    bodies (None for script-level code).  ``specialized`` holds the
+    builtin names whose semantics are baked into dedicated opcodes;
+    ``valid`` caches the epoch of the last successful validation.
+    ``ncmds`` is the number of top-level commands (what one
     run of the unit adds to ``tcl.vm.dispatches``), and ``contexts``
     holds, per pc, ``(wraps, break target, continue target, nest)``:
     the commands that add themselves to ``errorInfo`` when an error
@@ -241,6 +258,23 @@ class Code:
         self.ncmds = 0
         self.contexts: tuple = ()
 
+    def instance(self) -> "Code":
+        """A copy of this template for one interpreter: the same ops,
+        each call site with an inline cache of its own.  A unit with no
+        call site has nothing of its own to hold: it is its own
+        instance."""
+        calls = OP_CALL, OP_CALL_STACK
+        if not any(op[0] in calls for op in self.ops):
+            return self
+        code = Code(self.slot_map, self.specialized)
+        code.ops = tuple(op[:5] + ([None, None],) + op[6:]
+                         if op[0] in calls else op for op in self.ops)
+        code.simple_arity = self.simple_arity
+        code.proc_body = self.proc_body
+        code.ncmds = self.ncmds
+        code.contexts = self.contexts
+        return code
+
 
 # ---------------------------------------------------------------------------
 # validity
@@ -252,7 +286,7 @@ def _revalidate(interp, code: Code) -> bool:
     for name in code.specialized:
         if commands.get(name) is not builtins[name]:
             return False
-    code.valid = (interp, interp.commands_epoch)
+    code.valid = interp.commands_epoch
     return True
 
 
@@ -261,8 +295,7 @@ def _usable(interp, code: Code) -> bool:
     any specialized builtin is no longer the registered command."""
     if interp._trace_on:
         return False
-    v = code.valid
-    if v is not None and v[0] is interp and v[1] == interp.commands_epoch:
+    if code.valid == interp.commands_epoch:
         return True
     return _revalidate(interp, code)
 
@@ -323,10 +356,8 @@ def _subst_expr(interp, frame, plan):
     interp.depth += 1
     try:
         code = plan[4]
-        v = code.valid
-        if (v is not None and v[0] is interp and
-                v[1] == interp.commands_epoch and not interp._trace_on) \
-                or _usable(interp, code):
+        if (code.valid == interp.commands_epoch and
+                not interp._trace_on) or _usable(interp, code):
             interp._m_vm_dispatches.value += 1
             interp._m_commands.value += 1
             try:
@@ -519,17 +550,14 @@ def _assign(interp, frame, targets, values, position) -> None:
 # ---------------------------------------------------------------------------
 
 def enter_proc(interp, proc, argv):
-    """Set up a call of ``proc``: its code (compiled on first call, and
+    """Set up a call of ``proc``: its code (made on first call, and
     kept on the Proc), the depth guard, a CallFrame with the formals
     bound straight into indexed slots, pushed on ``interp.frames`` one
     depth level down.  Returns ``(code, frame)``."""
     code = proc.vm_code
     if code is None:
         from .lower import code_for_proc
-        compiled = proc.compiled
-        if compiled is None:
-            compiled = proc.compiled = compile_script(proc.body)
-        code = proc.vm_code = code_for_proc(interp, compiled, proc)
+        code = code_for_proc(interp, proc)
     if interp.depth >= _MAX_DEPTH:
         raise TclError(_TOO_DEEP)
     if code.simple_arity == len(argv) - 1:
@@ -658,9 +686,7 @@ def run(interp, code: Code, frame, state=None):
                     # A command begins: an earlier op may have run
                     # arbitrary Tcl (redefining a builtin or starting
                     # the tracer), so recheck via the cached stamp.
-                    v = code.valid
-                    if v is None or v[0] is not interp or \
-                            v[1] != interp.commands_epoch or \
+                    if code.valid != interp.commands_epoch or \
                             interp._trace_on:
                         if not _usable(interp, code):
                             if type(start) is tuple:
@@ -961,15 +987,14 @@ def run(interp, code: Code, frame, state=None):
                     continue
                 # OP_CALL and OP_CALL_STACK: invoke the command on argv.
                 cache = op[5]
-                if cache[0] is interp and cache[1] == interp.commands_epoch:
-                    target = cache[2]
+                if cache[0] == interp.commands_epoch:
+                    target = cache[1]
                     interp._m_vm_cache_hits.value += 1
                 else:
                     target = interp.commands.get(op[2])
-                    if target is not None:
-                        cache[0] = interp
-                        cache[1] = interp.commands_epoch
-                        cache[2] = target
+                    if target is not None and cache is not _NO_CACHE:
+                        cache[0] = interp.commands_epoch
+                        cache[1] = target
                 if target is None:
                     # Unknown-command handling, never cached (the
                     # handler may define the command).

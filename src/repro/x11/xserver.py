@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import Observability
 from ..obs import trace as _trace
+from ..obs.journal import args_digest
 from . import events as _events
 from .atoms import AtomTable
 from .events import (ALWAYS_DELIVERED, BUTTON_PRESS, BUTTON_RELEASE,
@@ -512,7 +513,6 @@ class XServer:
                 if client.closed:
                     raise _batch_lost(delivered, len(ops))
                 if self._jrec is not None:
-                    from ..obs.journal import args_digest
                     self._jwindow = _window
                     self._jdetail = args_digest(args, kwargs)
                 try:
