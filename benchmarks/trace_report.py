@@ -50,8 +50,8 @@ def _traced_replay(journal: Journal, kind: str) -> dict:
     def setup(session):
         app = session.new_app(header.get("name") or "replay",
                               header.get("script") or "")
-        # Trace from the first replayed input on; spans stay readable
-        # after app.destroy() deregisters the tracer.
+        # Trace from the first replayed input on, through the
+        # application's teardown: the tracer is the display's.
         app.obs.tracer.start(wire=True)
         tracers.append(app.obs.tracer)
         return app

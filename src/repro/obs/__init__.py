@@ -12,7 +12,7 @@ from .journal import Journal
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import Profile, profile
 from .timeseries import TimeSeriesRecorder
-from .trace import Span, Tracer, record_request, record_round_trip
+from .trace import Span, Tracer
 
 __all__ = [
     "Observability",
@@ -20,5 +20,5 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Profile", "profile",
     "TimeSeriesRecorder",
-    "Span", "Tracer", "record_request", "record_round_trip",
+    "Span", "Tracer",
 ]

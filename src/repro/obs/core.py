@@ -5,8 +5,10 @@ Every component that wants instrumentation owns (or is handed) an
 or :class:`~repro.tcl.Interp` creates its own; a Tk application builds
 a unified hub on the server's virtual clock, mounts the server's
 registry (the server may be shared between applications, so ``x11.*``
-metrics are deliberately server-wide) and rebinds its interpreter into
-it, so one ``obs dump`` covers the whole stack.
+metrics are deliberately server-wide), shares the server's tracer (one
+tracer per display, so a trace follows work across the applications
+on it) and rebinds its interpreter into it, so one ``obs dump`` covers
+the whole stack.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ FLIGHT_WINDOW_MS = 10_000
 class Observability:
     """A metrics registry and a tracer sharing one virtual clock."""
 
-    def __init__(self, clock: Optional[Callable[[], int]] = None):
+    def __init__(self, clock: Optional[Callable[[], int]] = None,
+                 tracer: Optional[Tracer] = None):
         if clock is None:
             # Standalone components (a bare Interp in tests) have no
             # server clock; spans then have zero duration but keep
@@ -39,10 +42,12 @@ class Observability:
             clock = lambda: 0
         self.clock = clock
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock)
-        # Ring evictions are telemetry loss; count them where every
-        # other metric of this scope lives.
-        self.tracer.bind_metrics(self.metrics)
+        if tracer is None:
+            tracer = Tracer(clock)
+            # Ring evictions are telemetry loss; count them where every
+            # other metric of the tracer's owner lives.
+            tracer.bind_metrics(self.metrics)
+        self.tracer = tracer
         #: the XServer this hub observes, when there is one — set by
         #: TkApp/XServer so ``obs journal`` and remote introspection
         #: can reach the session journal.

@@ -262,10 +262,15 @@ class MetricsRegistry:
 
         Used when a component built before its application is rebound
         to the application's hub: existing handles keep counting into
-        the very same objects, now visible here.
+        the very same objects, now visible here.  A metric already
+        visible here, own or mounted, is kept: an interpreter's own
+        tracer-loss counters must not hide those of the server tracer
+        its application shares.
         """
+        visible = self._all()
         for key, metric in other._metrics.items():
-            self._metrics.setdefault(key, metric)
+            if key not in visible:
+                self._metrics[key] = metric
         for mounted in other._mounts:
             self.mount(mounted)
 

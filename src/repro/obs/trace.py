@@ -14,22 +14,25 @@ Durations are *virtual* milliseconds from the simulated server clock
 (one request ≈ one tick), so traces are deterministic and comparable
 run to run.  Finished spans live in a bounded ring buffer.
 
-X-request attribution works like a context propagation layer: started
-tracers register in the module-level ``_ACTIVE`` list, and the server's
-``_tick``/``round_trip`` hot paths check ``if _ACTIVE:`` — a single
-falsy test when no one is tracing — before attributing the request to
-whichever span is open on each active tracer.  *Wire mode* additionally
-records every request server-wide (named tick, originating widget) in
-the spirit of ``xmon``, even between spans.
+X-request attribution: each :class:`~repro.x11.XServer` owns one
+tracer, shared by every application on that display, and the server's
+``_tick``/``round_trip`` hot paths (and the Display's output buffer)
+test ``tracer.enabled`` — one attribute test when no one is tracing —
+before attributing the request to the span open on that tracer.  A
+tracer therefore sees exactly one display's traffic, and a cross-app
+``send`` nests the target's work under the sender's span, because both
+applications push onto the same stack.  *Wire mode* additionally
+records every request on the display (named tick, originating widget)
+in the spirit of ``xmon``, even between spans.
 
 Since the Display→XServer boundary became a byte-level wire
 (:mod:`repro.x11.wire`), traces cross it: the transport opens a *wire
-span* per frame (:func:`open_wire`), stamps its id into the frame's
-trace-context field, and the server records a *handle span* per
-request it executes under that id (:func:`record_handle`) — so a tree
-reads client issue → wire → server handle, with identical structure on
-the loopback and socket transports.  Wire and handle spans are
-*synthetic*: they never join the open-span stack, so request
+span* per frame (:meth:`Tracer.open_wire`), stamps its id into the
+frame's trace-context field, and the server records a *handle span*
+per request it executes under that id (:meth:`Tracer.record_handle`)
+— so a tree reads client issue → wire → server handle, with identical
+structure on the loopback and socket transports.  Wire and handle
+spans are *synthetic*: they never join the open-span stack, so request
 attribution still lands on the client span that issued the work.
 Cross-boundary spans carry ``link="wire"`` and keep their explicit
 parent id even when the parent has been evicted from the ring — they
@@ -42,9 +45,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from .report import build_forest
-
-#: Tracers currently started; consulted by the X server's hot paths.
-_ACTIVE: List["Tracer"] = []
 
 #: Default capacity of the finished-span ring buffer.
 SPAN_RING = 4096
@@ -106,9 +106,9 @@ class Tracer:
 
     ``begin``/``finish`` bracket a unit of work; the open-span stack
     provides parent links and request attribution.  The tracer is a
-    no-op unless ``enabled`` — callers on hot paths are expected to
-    guard with ``if tracer is not None and tracer.enabled:`` so the
-    disabled cost is one attribute test.
+    no-op unless ``enabled`` — callers on hot paths hold the tracer
+    and guard with ``if tracer.enabled:`` so the disabled cost is one
+    attribute test.
     """
 
     def __init__(self, clock: Callable[[], int],
@@ -121,10 +121,7 @@ class Tracer:
         self.wire_log: deque = deque(maxlen=max_wire)
         self._stack: List[Span] = []
         self._next_id = 1
-        #: open wire spans by propagated trace context; the context is
-        #: the *first* active tracer's span id, shared as the lookup
-        #: key by every tracer so frames carry one id regardless of
-        #: how many tracers watch the session
+        #: open wire spans by id, the trace context their frames carry
         self._inflight: Dict[int, Span] = {}
         #: spans/wire entries silently pushed off the bounded rings —
         #: surfaced as ``obs.trace.evicted{ring=...}`` once bound
@@ -151,25 +148,37 @@ class Tracer:
                                                 ring="wire")
         self._m_evicted_wire.value = self.evicted_wire
 
-    def _note_span_eviction(self) -> None:
+    def _keep(self, span: Span) -> None:
+        """Append a finished span to the ring, counting an eviction."""
         if len(self.spans) == self.spans.maxlen:
             self.evicted_spans += 1
             if self._m_evicted_spans is not None:
                 self._m_evicted_spans.value += 1
+        self.spans.append(span)
 
-    def _note_wire_eviction(self) -> None:
+    def _log(self, name: str, widget: Optional[str]) -> None:
+        """Append one request to the wire log, counting an eviction."""
         if len(self.wire_log) == self.wire_log.maxlen:
             self.evicted_wire += 1
             if self._m_evicted_wire is not None:
                 self._m_evicted_wire.value += 1
+        self.wire_log.append((self.clock(), name, widget))
+
+    def _span(self, kind: str, name: str, parent: Optional[Span],
+              widget: Optional[str] = None) -> Span:
+        """A new span under ``parent``, whose widget it inherits."""
+        if widget is None and parent is not None:
+            widget = parent.widget
+        span = Span(self._next_id, kind, name, widget,
+                    parent.id if parent else None, self.clock())
+        self._next_id += 1
+        return span
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self, wire: bool = False) -> None:
         self.enabled = True
         self.wire = wire
-        if self not in _ACTIVE:
-            _ACTIVE.append(self)
         for listener in self.listeners:
             listener(True)
 
@@ -180,8 +189,6 @@ class Tracer:
         # leave dangling parents for the next start.
         self._stack = []
         self._inflight.clear()
-        if self in _ACTIVE:
-            _ACTIVE.remove(self)
         for listener in self.listeners:
             listener(False)
 
@@ -199,12 +206,8 @@ class Tracer:
 
     def begin(self, kind: str, name: str,
               widget: Optional[str] = None) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        if widget is None and parent is not None:
-            widget = parent.widget
-        span = Span(self._next_id, kind, name, widget,
-                    parent.id if parent else None, self.clock())
-        self._next_id += 1
+        span = self._span(kind, name,
+                          self._stack[-1] if self._stack else None, widget)
         self._stack.append(span)
         return span
 
@@ -218,27 +221,72 @@ class Tracer:
         # A span still open when the tracer stopped (e.g. the very
         # `obs trace stop` invocation) is dropped, not half-recorded.
         if self.enabled:
-            self._note_span_eviction()
-            self.spans.append(span)
+            self._keep(span)
 
-    def begin_wire(self, name: str, queue_ms: int = 0) -> Span:
+    # -- cross-boundary propagation (transport and server hooks) ------
+
+    def open_wire(self, name: str, queue_ms: int = 0) -> Span:
         """Open a wire span: the client edge of one outbound frame.
 
         Wire spans are synthetic — they parent under the open span but
         never join the stack, so request attribution keeps landing on
-        the client span that issued the work.  The caller registers
-        the span in :attr:`_inflight` under the propagated context and
-        closes it via :func:`close_wire`.
+        the client span that issued the work.  The transport stamps the
+        span's id into the frame as its trace context, the server finds
+        the span again by that id, and :meth:`close_wire` closes it.
         """
-        parent = self._stack[-1] if self._stack else None
-        span = Span(self._next_id, "wire", name,
-                    parent.widget if parent else None,
-                    parent.id if parent else None, self.clock())
-        self._next_id += 1
+        span = self._span("wire", name,
+                          self._stack[-1] if self._stack else None)
         span.queue_ms = queue_ms
+        self._inflight[span.id] = span
         return span
 
-    # -- server-side attribution (called via _ACTIVE) ------------------
+    def close_wire(self, span: Span) -> None:
+        """Close a frame's wire span once its answer is in."""
+        self._inflight.pop(span.id, None)
+        span.end = self.clock()
+        # As in finish: a tracer stopped mid-flight drops the span
+        # rather than half-recording it.
+        if self.enabled:
+            self._keep(span)
+
+    def record_handle(self, ctx: int, name: str, start: int,
+                      end: int) -> None:
+        """Record one server-side handle span under a trace context.
+
+        Called from the server's ``_tick`` when the frame being handled
+        carried a trace context.  The span is complete on arrival (the
+        tick *is* the handling) and parents under the in-flight wire
+        span ``ctx``.  It does not populate ``Span.requests`` — the
+        request was already attributed to its issuing client span — so
+        request counts never double-count.
+        """
+        wire_span = self._inflight.get(ctx)
+        if wire_span is None:
+            return
+        span = self._span("xhandle", name, wire_span)
+        span.start = start
+        span.end = end
+        span.link = "wire"
+        self._keep(span)
+
+    def record_fault(self, action: str, detail: str,
+                     ctx: Optional[int] = None) -> None:
+        """Record one fault-plan action as a zero-duration span.
+
+        Parents under the in-flight wire span when the fault fired
+        inside a traced request (``ctx`` from the server), else under
+        the open client span, else as a root.
+        """
+        wire_span = self._inflight.get(ctx)
+        span = self._span("fault",
+                          "%s %s" % (action, detail) if detail else action,
+                          wire_span or (self._stack[-1] if self._stack
+                                        else None))
+        if wire_span is not None:
+            span.link = "wire"
+        self._keep(span)
+
+    # -- server-side attribution ---------------------------------------
 
     def record_request(self, name: str) -> None:
         if self._stack:
@@ -248,8 +296,7 @@ class Tracer:
         else:
             widget = None
         if self.wire:
-            self._note_wire_eviction()
-            self.wire_log.append((self.clock(), name, widget))
+            self._log(name, widget)
 
     def record_queued(self, name: str) -> None:
         """Attribute a buffered one-way request to the active span.
@@ -267,9 +314,7 @@ class Tracer:
         """Log a request delivered from a batch to the wire log only
         (it was attributed to its issuing span when enqueued)."""
         if self.wire:
-            widget = self._stack[-1].widget if self._stack else None
-            self._note_wire_eviction()
-            self.wire_log.append((self.clock(), name, widget))
+            self._log(name, self._stack[-1].widget if self._stack else None)
 
     def record_round_trip(self) -> None:
         if self._stack:
@@ -338,124 +383,5 @@ class Tracer:
         }
 
 
-def record_request(name: str) -> None:
-    """Attribute one named X request to every active tracer."""
-    for tracer in _ACTIVE:
-        tracer.record_request(name)
 
-
-def record_queued(name: str) -> None:
-    """Attribute one buffered (not yet delivered) request."""
-    for tracer in _ACTIVE:
-        tracer.record_queued(name)
-
-
-def record_delivery(name: str) -> None:
-    """Wire-log one request delivered as part of a batch."""
-    for tracer in _ACTIVE:
-        tracer.record_delivery(name)
-
-
-def record_round_trip() -> None:
-    """Attribute one server round trip to every active tracer."""
-    for tracer in _ACTIVE:
-        tracer.record_round_trip()
-
-
-# ----------------------------------------------------------------------
-# cross-boundary propagation (transport + server hooks)
-# ----------------------------------------------------------------------
-
-def open_wire(name: str, queue_ms: int = 0):
-    """Open a wire span in every active tracer for one outbound frame.
-
-    Returns ``(ctx, pairs)``: ``ctx`` is the propagated trace context
-    (the first tracer's wire-span id, stamped into the frame by the
-    transport; None when no tracer is active) and ``pairs`` the
-    ``(tracer, span)`` list :func:`close_wire` needs.  Every tracer
-    registers its own span under the *shared* context, so a single
-    on-the-wire id resolves to the right span in each tracer — tracer
-    identity never leaks into the bytes, keeping traced wire traffic
-    identical run to run regardless of how many tracers watch.
-    """
-    ctx = None
-    pairs = []
-    for tracer in _ACTIVE:
-        span = tracer.begin_wire(name, queue_ms)
-        if ctx is None:
-            ctx = span.id
-        tracer._inflight[ctx] = span
-        pairs.append((tracer, span))
-    return ctx, pairs
-
-
-def close_wire(ctx, pairs) -> None:
-    """Close the wire spans of one frame once its reply is in."""
-    for tracer, span in pairs:
-        tracer._inflight.pop(ctx, None)
-        span.end = tracer.clock()
-        # Mirror Tracer.finish: a tracer stopped mid-flight drops the
-        # span rather than half-recording it.
-        if tracer.enabled:
-            tracer._note_span_eviction()
-            tracer.spans.append(span)
-
-
-def record_handle(ctx: int, name: str, start: int, end: int) -> None:
-    """Record one server-side handle span under a propagated context.
-
-    Called from the server's ``_tick`` when the frame being handled
-    carried a trace context.  The span is complete on arrival (the
-    tick *is* the handling) and parents under each tracer's own
-    in-flight wire span for ``ctx``.  It does not populate
-    ``Span.requests`` — the request was already attributed to its
-    issuing client span — so request counts never double-count.
-    """
-    for tracer in _ACTIVE:
-        wire_span = tracer._inflight.get(ctx)
-        if wire_span is None:
-            continue
-        span = Span(tracer._next_id, "xhandle", name, wire_span.widget,
-                    wire_span.id, start)
-        tracer._next_id += 1
-        span.end = end
-        span.link = "wire"
-        tracer._note_span_eviction()
-        tracer.spans.append(span)
-
-
-def record_fault(action: str, detail: str,
-                 ctx: Optional[int] = None) -> None:
-    """Record one fault-plan action as a zero-duration span.
-
-    Parents under the in-flight wire span when the fault fired inside
-    a traced request (``ctx`` from the server), else under the open
-    client span, else as a root.
-    """
-    for tracer in _ACTIVE:
-        parent_id = None
-        widget = None
-        link = None
-        if ctx is not None:
-            wire_span = tracer._inflight.get(ctx)
-            if wire_span is not None:
-                parent_id = wire_span.id
-                widget = wire_span.widget
-                link = "wire"
-        if parent_id is None and tracer._stack:
-            top = tracer._stack[-1]
-            parent_id = top.id
-            widget = top.widget
-        name = "%s %s" % (action, detail) if detail else action
-        span = Span(tracer._next_id, "fault", name, widget, parent_id,
-                    tracer.clock())
-        tracer._next_id += 1
-        span.link = link
-        tracer._note_span_eviction()
-        tracer.spans.append(span)
-
-
-__all__ = ["Span", "Tracer", "record_request", "record_queued",
-           "record_delivery", "record_round_trip", "open_wire",
-           "close_wire", "record_handle", "record_fault",
-           "_ACTIVE", "SPAN_RING", "WIRE_RING"]
+__all__ = ["Span", "Tracer", "SPAN_RING", "WIRE_RING"]

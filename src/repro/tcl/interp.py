@@ -271,14 +271,23 @@ class Interp:
         the application's virtual clock).
         """
         obs.metrics.absorb(self.obs.metrics)
-        if self.obs_enabled and \
-                self._set_trace_on in self.obs.tracer.listeners:
-            self.obs.tracer.listeners.remove(self._set_trace_on)
+        self.detach_tracer()
         self.obs = obs
         if self.obs_enabled:
             self._tracer = obs.tracer
             obs.tracer.listeners.append(self._set_trace_on)
             self._trace_on = obs.tracer.enabled
+
+    def detach_tracer(self) -> None:
+        """Stop following the hub tracer's start and stop.
+
+        The tracer may outlive this interpreter (a Tk application's is
+        its display's), and its listener list would keep it alive.
+        """
+        listeners = self.obs.tracer.listeners
+        if self._set_trace_on in listeners:
+            listeners.remove(self._set_trace_on)
+        self._trace_on = False
 
     # ------------------------------------------------------------------
     # Command registration (Figure 6: "register application commands")

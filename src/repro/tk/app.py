@@ -222,11 +222,13 @@ class TkApp:
         self.interp = interp if interp is not None else Interp()
         # Application-wide observability hub on the server's virtual
         # clock.  The server's registry is *mounted* (x11.* metrics are
-        # server-wide — the server may be shared between applications);
-        # the interpreter's registry is *absorbed* so one `obs dump`
-        # covers x11 + tk + tcl.
+        # server-wide — the server may be shared between applications)
+        # and its tracer shared (one tracer per display); the
+        # interpreter's registry is *absorbed* so one `obs dump` covers
+        # x11 + tk + tcl.
         from ..obs import Observability
-        self.obs = Observability(clock=lambda: server.time_ms)
+        self.obs = Observability(clock=lambda: server.time_ms,
+                                 tracer=server.obs.tracer)
         self.obs.server = server
         self.obs.metrics.mount(server.obs.metrics)
         self.interp.rebind_obs(self.obs)
@@ -469,9 +471,9 @@ class TkApp:
         if self.destroyed:
             return
         self.destroyed = True
-        # Deregister the tracer from the active set; its collected
-        # spans stay readable for post-mortem dumps.
-        self.obs.tracer.stop()
+        # The display's tracer keeps running for the other
+        # applications on it, and its spans stay readable.
+        self.interp.detach_tracer()
         if not self.main.destroyed:
             self.main.destroy()
         self.sender.unregister()

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..obs import trace as _trace
 from .events import Event
 from .resources import Bitmap, Color, Cursor, Font, GraphicsContext
 from .xserver import Client, XConnectionLost, XProtocolError, XServer
@@ -182,9 +181,11 @@ class Display:
         #: configures merged at enqueue since the last flush
         self._merged = 0
         #: virtual time the oldest buffered request was enqueued;
-        #: tracked only while a tracer is active, so the flush can
+        #: tracked only while the tracer is started, so the flush can
         #: stamp the batch's wire span with its queue latency
         self._queued_since: Optional[int] = None
+        #: the server's span tracer, held for the enqueue hot path
+        self._tracer = self.server._tracer
         self._closed = False
         #: protocol error from a server-driven flush (input injection),
         #: re-raised at this client's next flush point — the simulator's
@@ -239,10 +240,10 @@ class Display:
         """Issue a one-way request: buffer it, or deliver it directly."""
         self._require_open()
         if self.buffering_enabled:
-            if _trace._ACTIVE:
+            if self._tracer.enabled:
                 # Attribute the request to the span issuing it now; the
                 # wire log gets its entry at delivery time.
-                _trace.record_queued(name)
+                self._tracer.record_queued(name)
                 if self._queued_since is None:
                     self._queued_since = self.server.time_ms
             if window in self._configures:
@@ -376,8 +377,8 @@ class Display:
         # _coalesce's forward rule, decided now: nothing buffered since
         # the pending configure addresses this window, so merge into it.
         self._require_open()
-        if _trace._ACTIVE:
-            _trace.record_queued("configure_window")
+        if self._tracer.enabled:
+            self._tracer.record_queued("configure_window")
             if self._queued_since is None:
                 self._queued_since = self.server.time_ms
         pending.update(kwargs)

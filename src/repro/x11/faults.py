@@ -59,7 +59,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs import trace as _trace
 from .xserver import Client, XProtocolError
 
 #: Canonical fault-type names (the keys of ``FaultPlan.counters``).
@@ -194,10 +193,11 @@ class FaultPlan:
             # Faults are journaled for forensics; a replay re-creates
             # them by rebuilding the plan from the journal header's spec.
             jrec.fault(kind, detail)
-        if _trace._ACTIVE:
+        tracer = server._tracer
+        if tracer.enabled:
             # A fault span per injected action; inside a traced request
             # it parents under the issuing client's wire span.
-            _trace.record_fault(kind, detail, server._trace_ctx)
+            tracer.record_fault(kind, detail, server._trace_ctx)
         self.log.append((self._request_index, kind, detail))
 
     # ------------------------------------------------------------------

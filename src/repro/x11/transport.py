@@ -52,12 +52,13 @@ ticks, a lost connection as the error of a request whose client a
 fault plan closed, and the scrub of that client afterwards.  A
 transport never writes server state itself.
 
-When a span tracer is active (:mod:`repro.obs.trace`), the wire span's
-id is stamped into the frame's trace-context field and ``_serve``
-parents the server's per-tick handle spans under it, so they stitch
-into the client's causal tree identically on both transports.  With no
-tracer active the frames carry no context and are byte-identical to
-the untraced codec.
+When the server's span tracer is started (:mod:`repro.obs.trace`),
+the wire span's id is stamped into the frame's trace-context field and
+``_serve`` parents the server's per-tick handle spans under it, so they
+stitch into the client's causal tree identically on both transports.
+With the tracer stopped the frames carry no context and are
+byte-identical to the untraced codec; a tracer on another server never
+touches them.
 
 Input injection (``warp_pointer`` and friends) runs on the server
 thread, and requests a client has already buffered must reach the
@@ -86,7 +87,6 @@ from typing import Callable, Dict, List, Optional
 
 from . import wire
 from .xserver import XConnectionLost, XProtocolError, XServer
-from ..obs import trace as _trace
 
 __all__ = [
     "Transport", "LoopbackTransport", "SocketTransport", "ServerHost",
@@ -137,7 +137,10 @@ class Transport:
     #: frames to read first); see Display.next_event
     local_events: Optional[deque] = None
 
-    def __init__(self):
+    def __init__(self, server: XServer):
+        self.server = server
+        #: the server's span tracer, held for the request hot path
+        self._tracer = server._tracer
         #: captured frames when :meth:`capture_wire` is active
         self.wire_log: Optional[List[bytes]] = None
         #: wall-clock RTT samples (ns) when :meth:`enable_wall_rtt` is on;
@@ -161,13 +164,16 @@ class Transport:
         answer carries: the request path of every transport.
 
         Around the transport's own :meth:`_carry` it opens the frame's
-        wire span when a tracer is active and, for a REQUEST, observes
+        wire span when the tracer is started and, for a REQUEST, observes
         the round-trip time.  ``deliver_batch``, ``request`` and
         ``oneway`` are defined on each transport class, where the
         benchmark's tracer (perfbench/tracing.py) wraps them.
         """
-        ctx, spans = (_trace.open_wire(name, queue_ms)
-                      if _trace._ACTIVE else (None, ()))
+        if self._tracer.enabled:
+            span = self._tracer.open_wire(name, queue_ms)
+            ctx = span.id
+        else:
+            span = ctx = None
         try:
             if ftype != wire.REQUEST:
                 return self._carry(ftype, value, ctx)
@@ -182,8 +188,8 @@ class Transport:
                 if wall is not None:
                     self.wall_rtt_ns.append(self._wall_clock() - wall)
         finally:
-            if spans:
-                _trace.close_wire(ctx, spans)
+            if span is not None:
+                self._tracer.close_wire(span)
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +202,7 @@ class LoopbackTransport(Transport):
     kind = "loopback"
 
     def __init__(self, server: XServer, client=None):
-        super().__init__()
-        self.server = server
+        super().__init__(server)
         self.client = client if client is not None else server.connect()
         self._telemetry = _Telemetry(server, self.client.number,
                                      self.kind)
@@ -761,11 +766,10 @@ class SocketTransport(Transport):
     kind = "socket"
 
     def __init__(self, host):
-        super().__init__()
         if isinstance(host, XServer):
             host = ensure_host(host)
+        super().__init__(host.server)  # shared control plane (clock, obs)
         self.host: ServerHost = host
-        self.server = host.server  # shared control plane (clock, obs)
         self.queue: deque = deque()
         self._rbuf = bytearray()
         self._frames: deque = deque()

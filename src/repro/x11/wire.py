@@ -21,11 +21,11 @@ A frame is::
 The payload is exactly one *value* in the tagged encoding below; a
 frame whose payload leaves trailing bytes is rejected.  The single
 exception is the optional **trace context** on BATCH, ONEWAY, and
-REQUEST frames (codec version 2): when the client has an active span
-tracer, the transport appends one ``T_SPAN`` tagged i64 — the issuing
+REQUEST frames (codec version 2): while the server's span tracer is
+started, the transport appends one ``T_SPAN`` tagged i64 — the issuing
 wire-span id — after the payload, and the server opens a child span
 under that id for every request it handles (see
-:mod:`repro.obs.trace`).  With no tracer active the field is absent
+:mod:`repro.obs.trace`).  With the tracer stopped the field is absent
 and every frame is byte-identical to codec version 1, so traced and
 untraced runs of the same workload differ *only* by the 9-byte
 suffix, and untraced byte accounting is unchanged.  Frame types:

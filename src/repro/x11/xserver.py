@@ -16,8 +16,10 @@ makes their effect measurable (see benchmarks/test_ablation_cache.py).
 Observability: each server owns a :class:`repro.obs.Observability` hub
 on its virtual clock.  ``_tick`` counts every named request as
 ``x11.requests{type=name}`` and ``round_trip`` as ``x11.round_trips``;
-both also feed any active span tracer, which is how a trace attributes
-wire traffic to the widget and script that caused it.  The legacy
+both also feed the server's span tracer when it is started, which is
+how a trace attributes wire traffic to the widget and script that
+caused it.  The hub's tracer is the display's one tracer: every
+application on the server shares it.  The legacy
 ``requests``/``round_trips`` integers are now read-only views of those
 metrics.
 
@@ -33,7 +35,6 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import Observability
-from ..obs import trace as _trace
 from ..obs.journal import args_digest
 from . import events as _events
 from .atoms import AtomTable
@@ -173,6 +174,8 @@ class XServer:
         self.clock = clock if clock is not None else VirtualClock()
         self.obs = Observability(clock=lambda: self.clock.now)
         self.obs.server = self
+        #: the display's span tracer (the hub's), held for the hot paths
+        self._tracer = self.obs.tracer
         #: session journal (repro.obs.journal); ``_jrec`` is the hot
         #: handle — None unless recording, so ``_tick`` pays one test.
         self.journal = None
@@ -410,14 +413,15 @@ class XServer:
                          self._jdetail)
             self._jwindow = None
             self._jdetail = None
-        if _trace._ACTIVE:
+        if self._tracer.enabled:
+            tracer = self._tracer
             if self._delivering_batch:
                 # Batched requests were attributed to their issuing
                 # span at enqueue time; only the wire log records the
                 # delivery.
-                _trace.record_delivery(name)
+                tracer.record_delivery(name)
             else:
-                _trace.record_request(name)
+                tracer.record_request(name)
             ctx = self._trace_ctx
             if ctx is not None:
                 # The handle span *is* the tick: complete on arrival,
@@ -425,7 +429,7 @@ class XServer:
                 # span.  It touches no counters and no journal, so
                 # traced and untraced replays stay byte-identical.
                 now = self.clock.now
-                _trace.record_handle(ctx, name, now - 1, now)
+                tracer.record_handle(ctx, name, now - 1, now)
         recorder = self._recorder
         if recorder is not None:
             recorder.maybe_sample()
@@ -455,8 +459,8 @@ class XServer:
         self._m_round_trips.value += 1
         if self._jrec is not None:
             self._jrec.round_trip()
-        if _trace._ACTIVE:
-            _trace.record_round_trip()
+        if self._tracer.enabled:
+            self._tracer.record_round_trip()
 
     def sync(self) -> None:
         """XSync: a named no-op request whose only point is the reply.

@@ -1,6 +1,7 @@
 """Tests for the fleet load generator (repro.fleet)."""
 
 import gc
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,6 @@ from repro.fleet.__main__ import build_specs, corpus_journals
 from repro.fleet.driver import solo
 from repro.fuzz.gen import generate_scenario
 from repro.fuzz.runner import run_scenario
-from repro.obs import trace
 from repro.obs.journal import Journal
 from repro.obs.replay import replay_journal
 from repro.x11 import VirtualClock, XServer
@@ -405,10 +405,10 @@ class TestBuildSpecs:
 class TestFleetTraceEviction:
     """Satellite: tracer ring eviction accounting at fleet scale.
 
-    One tracer (cell 0's) watches a 200-session fleet.  Module-level
-    wire/handle hooks fan into every active tracer, so that single
-    ring collects fleet-wide traffic, overflows its 4096-span bound,
-    and must keep its accounting and its cross-boundary parent links
+    One tracer (cell 0's) watches a 200-session fleet.  A tracer sees
+    only its own display's traffic, about 740 spans for cell 0, so the
+    test shrinks that tracer's ring to 256 spans: it overflows, and
+    must keep its accounting and its cross-boundary parent links
     intact under heavy eviction.
     """
 
@@ -420,6 +420,7 @@ class TestFleetTraceEviction:
         driver.launch()
         server = driver.servers[0]
         tracer = server.obs.tracer
+        tracer.spans = deque(maxlen=256)
         tracer.start(wire=True)
         try:
             result = driver.run()
@@ -447,10 +448,11 @@ class TestFleetTraceEviction:
             # wire span; the already-recorded handle span must re-root
             # with the explicit parent link, not as a local orphan.
             now = server.time_ms
-            ctx, pairs = trace.open_wire("batch", queue_ms=1)
-            trace.record_handle(ctx, "draw_string", now, now + 1)
+            wire_span = tracer.open_wire("batch", queue_ms=1)
+            ctx = wire_span.id
+            tracer.record_handle(ctx, "draw_string", now, now + 1)
             tracer.stop()
-            trace.close_wire(ctx, pairs)
+            tracer.close_wire(wire_span)
             rerooted = [node for node in tracer.tree()
                         if node["kind"] == "xhandle"
                         and node["name"] == "draw_string"

@@ -24,11 +24,7 @@ def clock():
 
 @pytest.fixture
 def hub(clock):
-    hub = Observability(clock)
-    yield hub
-    # A started tracer registers in the process-wide active list and
-    # would stamp trace contexts onto every later test's frames.
-    hub.tracer.stop()
+    return Observability(clock)
 
 
 class TestRecorderLifecycle:

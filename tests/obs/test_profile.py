@@ -1,7 +1,6 @@
 """Tests for the profiler (repro.obs.profile)."""
 
 from repro.obs import Profile, Tracer
-from repro.obs import trace as trace_mod
 
 
 class FakeClock:
@@ -20,9 +19,9 @@ def build_trace():
     outer = tracer.begin("proc", "outer")
     clock.now += 10
     inner = tracer.begin("cmd", ".b", widget=".b")
-    trace_mod.record_request("draw_string")
-    trace_mod.record_request("draw_string")
-    trace_mod.record_round_trip()
+    tracer.record_request("draw_string")
+    tracer.record_request("draw_string")
+    tracer.record_round_trip()
     clock.now += 10
     tracer.finish(inner)
     clock.now += 10
@@ -96,14 +95,14 @@ def build_wire_trace():
     tracer = Tracer(clock)
     tracer.start()
     outer = tracer.begin("proc", "outer")
-    trace_mod.record_request("draw_string")
-    trace_mod.record_request("draw_string")
-    ctx, pairs = trace_mod.open_wire("batch", queue_ms=2)
+    tracer.record_request("draw_string")
+    tracer.record_request("draw_string")
+    wire_span = tracer.open_wire("batch", queue_ms=2)
     clock.now += 1
-    trace_mod.record_handle(ctx, "batch", 0, 1)
+    tracer.record_handle(wire_span.id, "batch", 0, 1)
     clock.now += 2
-    trace_mod.record_handle(ctx, "draw_string", 1, 3)
-    trace_mod.close_wire(ctx, pairs)
+    tracer.record_handle(wire_span.id, "draw_string", 1, 3)
+    tracer.close_wire(wire_span)
     tracer.finish(outer)
     tracer.stop()
     return tracer

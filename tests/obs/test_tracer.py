@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import Tracer
-from repro.obs import trace as trace_mod
 
 
 class FakeClock:
@@ -79,27 +78,19 @@ class TestSpans:
 class TestAttribution:
     def test_request_attributed_to_open_span(self, tracer):
         span = tracer.begin("cmd", ".b")
-        trace_mod.record_request("fill_rectangle")
-        trace_mod.record_request("fill_rectangle")
-        trace_mod.record_round_trip()
+        tracer.record_request("fill_rectangle")
+        tracer.record_request("fill_rectangle")
+        tracer.record_round_trip()
         tracer.finish(span)
         assert span.requests == {"fill_rectangle": 2}
         assert span.round_trips == 1
 
-    def test_active_registry_add_remove(self, clock):
-        tracer = Tracer(clock)
-        assert tracer not in trace_mod._ACTIVE
-        tracer.start()
-        assert tracer in trace_mod._ACTIVE
-        tracer.stop()
-        assert tracer not in trace_mod._ACTIVE
-
     def test_wire_mode_records_every_request(self, clock):
         tracer = Tracer(clock)
         tracer.start(wire=True)
-        trace_mod.record_request("create_window")   # no span open
+        tracer.record_request("create_window")   # no span open
         span = tracer.begin("cmd", ".b", widget=".b")
-        trace_mod.record_request("draw_string")
+        tracer.record_request("draw_string")
         tracer.finish(span)
         tracer.stop()
         assert [(name, widget) for _, name, widget in tracer.wire_log] \
@@ -107,7 +98,7 @@ class TestAttribution:
 
     def test_no_wire_log_without_wire_mode(self, tracer):
         span = tracer.begin("cmd", ".b")
-        trace_mod.record_request("draw_string")
+        tracer.record_request("draw_string")
         tracer.finish(span)
         assert len(tracer.wire_log) == 0
 
@@ -126,7 +117,7 @@ class TestOutput:
     def test_format_tree_header_and_indent(self, tracer):
         outer = tracer.begin("eval", "doClick")
         inner = tracer.begin("cmd", ".b", widget=".b")
-        trace_mod.record_request("draw_string")
+        tracer.record_request("draw_string")
         tracer.finish(inner)
         tracer.finish(outer)
         text = tracer.format_tree()

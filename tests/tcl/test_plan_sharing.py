@@ -91,8 +91,6 @@ class TestIsolation:
             assert "total" in meddler.eval("set notes")
             assert "cmd" in meddler.eval("obs trace dump")
         finally:
-            # An active tracer is process-wide state (it stamps trace
-            # contexts into every application's wire frames).
             meddler.eval("obs trace stop")
         assert seen == expected
         # Both ran copies of one plan, each with its own bytecode.
