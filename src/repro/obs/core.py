@@ -70,9 +70,17 @@ class Observability:
         """Start (or reconfigure and restart) the time-series recorder.
 
         The recorder is sampled from the observed server's tick hot
-        paths, so it only advances with virtual time.
+        paths, so it only advances with virtual time.  The server
+        samples one recorder: while another hub's recorder is started
+        there, this raises ValueError instead of taking its place.
         """
         recorder = self.recorder
+        server = self.server
+        if server is not None:
+            held = server._recorder
+            if held is not None and held is not recorder and held.enabled:
+                raise ValueError("another application's recorder is "
+                                 "sampling this server; stop it first")
         if recorder is None:
             kwargs = {}
             if cadence_ms is not None:
@@ -84,18 +92,18 @@ class Observability:
         else:
             recorder.configure(cadence_ms, ring)
         recorder.start()
-        server = self.server
         if server is not None:
             server._recorder = recorder
         return recorder
 
     def stop_recorder(self) -> None:
         """Stop sampling; recorded series stay readable."""
-        if self.recorder is not None:
-            self.recorder.stop()
-        server = self.server
-        if server is not None:
-            server._recorder = None
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.stop()
+            server = self.server
+            if server is not None and server._recorder is recorder:
+                server._recorder = None
 
     # -- flight dumps --------------------------------------------------
 

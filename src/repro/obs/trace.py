@@ -129,11 +129,6 @@ class Tracer:
         self.evicted_wire = 0
         self._m_evicted_spans = None
         self._m_evicted_wire = None
-        #: called with the new enabled state on every start/stop, so
-        #: instrumented hot paths (the interpreter's command loop) can
-        #: keep a precomputed local flag instead of re-reading
-        #: ``tracer.enabled`` on every invocation
-        self.listeners: List[Callable[[bool], None]] = []
 
     def bind_metrics(self, registry) -> None:
         """Mirror ring evictions as ``obs.trace.evicted{ring=...}``.
@@ -179,8 +174,6 @@ class Tracer:
     def start(self, wire: bool = False) -> None:
         self.enabled = True
         self.wire = wire
-        for listener in self.listeners:
-            listener(True)
 
     def stop(self) -> None:
         self.enabled = False
@@ -189,8 +182,6 @@ class Tracer:
         # leave dangling parents for the next start.
         self._stack = []
         self._inflight.clear()
-        for listener in self.listeners:
-            listener(False)
 
     def clear(self) -> None:
         self.spans.clear()

@@ -127,20 +127,16 @@ class CompiledCommand:
         self._cmd_state = None
 
     def execute(self, interp) -> str:
-        if interp._trace_on:
+        if interp._tracer.enabled:
             tracer = interp._tracer
             argv = self.argv
-            widget = None
             if argv is not None:
-                if argv[0].startswith("."):
-                    widget = argv[0]
-                elif len(argv) > 1 and argv[1].startswith("."):
-                    widget = argv[1]
-                name = argv[0]
+                name, widget = argv[0], _span_widget(argv)
             else:
                 word = self.words[0]
                 name = word if type(word) is str else \
                     (self.source.split() or ["?"])[0]
+                widget = None
             span = tracer.begin("cmd", name, widget)
             try:
                 return self._execute(interp)
@@ -296,6 +292,20 @@ def plan_script(script: str) -> CompiledScript:
     else:
         _PLANS.move_to_end(script)
     return plan
+
+
+def _span_widget(argv: List[str]) -> Optional[str]:
+    """Best-effort widget attribution for a command invocation.
+
+    Widget commands are named after their window path (``.b configure
+    ...``); creation commands take the path as the first argument
+    (``button .b ...``).
+    """
+    if argv[0].startswith("."):
+        return argv[0]
+    if len(argv) > 1 and argv[1].startswith("."):
+        return argv[1]
+    return None
 
 
 def _append_error_info(error: TclError, source: str) -> None:

@@ -25,7 +25,7 @@ from ..obs import Observability
 # ``compile_script`` stays bound here (and in ``vm``) for tools that
 # wrap it by module, such as perfbench's ``tcl.compile`` site.
 from .compile import (CompiledScript, _append_error_info,  # noqa: F401
-                      compile_script, plan_script)
+                      _span_widget, compile_script, plan_script)
 from .errors import (TclBreak, TclContinue, TclError, TclReturn,
                      _FlowControl)
 from .lists import format_list, parse_list
@@ -165,7 +165,6 @@ class Interp:
 
     def __init__(self, stdout=None, compile_enabled: bool = True,
                  obs: Optional[Observability] = None,
-                 obs_enabled: bool = True,
                  bytecode_enabled: bool = True):
         self.commands: Dict[str, CommandProc] = {}
         self.global_frame = CallFrame(level=0)
@@ -179,7 +178,7 @@ class Interp:
         #: Ablation flag for the bytecode VM: when False, compiled
         #: scripts are executed by the tree-walking CompiledCommand
         #: path exactly as before the VM existed.  (The VM also stands
-        #: down while the span tracer is collecting, so trace trees
+        #: down while ``self._tracer.enabled`` is set, so trace trees
         #: keep their exact per-command shape.)
         self.bytecode_enabled = bytecode_enabled
         #: True while no variable traces are installed: the VM may
@@ -198,12 +197,7 @@ class Interp:
         #: Observability hub: metrics + span tracer (``obs`` command).
         #: A standalone interpreter owns its own; a Tk application
         #: rebinds it into the application-wide hub (see rebind_obs).
-        #: ``obs_enabled=False`` is the ablation flag for measuring the
-        #: cost of the instrumentation itself: counters still exist
-        #: (they are the storage for cmd_count etc.) but the tracer is
-        #: never consulted on hot paths.
         self.obs = obs if obs is not None else Observability()
-        self.obs_enabled = obs_enabled
         #: Compile-cache effectiveness counters (``info compilecache``).
         self._m_compile_hits = self.obs.metrics.counter("tcl.compile.hits")
         self._m_compile_misses = \
@@ -217,15 +211,9 @@ class Interp:
             self.obs.metrics.counter("tcl.vm.dispatches")
         self._m_vm_cache_hits = \
             self.obs.metrics.counter("tcl.vm.inline_cache_hits")
-        self._tracer = self.obs.tracer if obs_enabled else None
-        #: Precomputed "is the tracer collecting" flag, maintained by a
-        #: tracer start/stop listener: the command hot path tests one
-        #: boolean whether observability is enabled or ablated, so the
-        #: shipping configuration pays nothing over the ablation.
-        self._trace_on = False
-        if obs_enabled:
-            self.obs.tracer.listeners.append(self._set_trace_on)
-            self._trace_on = self.obs.tracer.enabled
+        #: The hub's tracer.  Its ``enabled`` attribute is the one
+        #: tracing switch: every instrumented site tests it directly.
+        self._tracer = self.obs.tracer
         #: Renewed (from ``_EPOCHS``) whenever the command table
         #: changes; compiled commands and bytecode memoize command
         #: resolution against this, so ``rename``/redefinition/deletion
@@ -259,9 +247,6 @@ class Interp:
     def cmd_count(self) -> int:
         return self._m_commands.value
 
-    def _set_trace_on(self, enabled: bool) -> None:
-        self._trace_on = enabled
-
     def rebind_obs(self, obs: Observability) -> None:
         """Join an application-wide observability hub.
 
@@ -271,23 +256,8 @@ class Interp:
         the application's virtual clock).
         """
         obs.metrics.absorb(self.obs.metrics)
-        self.detach_tracer()
         self.obs = obs
-        if self.obs_enabled:
-            self._tracer = obs.tracer
-            obs.tracer.listeners.append(self._set_trace_on)
-            self._trace_on = obs.tracer.enabled
-
-    def detach_tracer(self) -> None:
-        """Stop following the hub tracer's start and stop.
-
-        The tracer may outlive this interpreter (a Tk application's is
-        its display's), and its listener list would keep it alive.
-        """
-        listeners = self.obs.tracer.listeners
-        if self._set_trace_on in listeners:
-            listeners.remove(self._set_trace_on)
-        self._trace_on = False
+        self._tracer = obs.tracer
 
     # ------------------------------------------------------------------
     # Command registration (Figure 6: "register application commands")
@@ -347,7 +317,7 @@ class Interp:
                     result = self._eval_command(command)
                 return result
             if self.bytecode_enabled and self.compile_enabled and \
-                    not self._trace_on:
+                    not self._tracer.enabled:
                 code = compiled.vm_code
                 if code is None:
                     code = _lower.code_for_script(self, compiled)
@@ -386,7 +356,7 @@ class Interp:
         so a widget ``-command`` invoked from a loop body can still
         break that loop.
         """
-        if self._trace_on:
+        if self._tracer.enabled:
             tracer = self._tracer
             source = script.source \
                 if isinstance(script, CompiledScript) else script
@@ -494,7 +464,7 @@ class Interp:
         return self._invoke(argv, command.source)
 
     def _invoke(self, argv: List[str], source: str) -> str:
-        if self._trace_on:
+        if self._tracer.enabled:
             tracer = self._tracer
             span = tracer.begin("cmd", argv[0], _span_widget(argv))
             try:
@@ -769,7 +739,7 @@ class Interp:
         self.commands_epoch = next(_EPOCHS)
 
     def call_proc(self, proc: Proc, argv: List[str]) -> str:
-        if self._trace_on:
+        if self._tracer.enabled:
             tracer = self._tracer
             span = tracer.begin("proc", proc.name)
             try:
@@ -780,7 +750,7 @@ class Interp:
 
     def _call_proc(self, proc: Proc, argv: List[str]) -> str:
         if self.bytecode_enabled and self.compile_enabled and \
-                not self._trace_on:
+                not self._tracer.enabled:
             return self._call_proc_vm(proc, argv)
         body: Union[str, CompiledScript] = proc.body
         if self.compile_enabled:
@@ -901,20 +871,6 @@ def _span_name(source: str, limit: int = 48) -> str:
     if len(name) > limit:
         name = name[:limit - 3] + "..."
     return name
-
-
-def _span_widget(argv: List[str]) -> Optional[str]:
-    """Best-effort widget attribution for a command invocation.
-
-    Widget commands are named after their window path (``.b configure
-    ...``); creation commands take the path as the first argument
-    (``button .b ...``).
-    """
-    if argv[0].startswith("."):
-        return argv[0]
-    if len(argv) > 1 and argv[1].startswith("."):
-        return argv[1]
-    return None
 
 
 def _error_info(error: TclError) -> str:

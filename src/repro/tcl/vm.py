@@ -293,7 +293,7 @@ def _revalidate(interp, code: Code) -> bool:
 def _usable(interp, code: Code) -> bool:
     """May dedicated opcodes run?  False while the tracer collects or
     any specialized builtin is no longer the registered command."""
-    if interp._trace_on:
+    if interp._tracer.enabled:
         return False
     if code.valid == interp.commands_epoch:
         return True
@@ -357,14 +357,14 @@ def _subst_expr(interp, frame, plan):
     try:
         code = plan[4]
         if (code.valid == interp.commands_epoch and
-                not interp._trace_on) or _usable(interp, code):
+                not interp._tracer.enabled) or _usable(interp, code):
             interp._m_vm_dispatches.value += 1
             interp._m_commands.value += 1
             try:
                 return _expr_eval(interp, frame, plan[1])
             except (TclError,) + interp.native_error_types as error:
                 raise _expr_error(error, plan[3])
-        if not interp._trace_on:
+        if not interp._tracer.enabled:
             interp._m_vm_dispatches.value += 1
         return plan[3].execute(interp)
     finally:
@@ -660,6 +660,7 @@ def run(interp, code: Code, frame, state=None):
     """
     m_dispatches = interp._m_vm_dispatches
     m_commands = interp._m_commands
+    tracer = interp._tracer
     if state is None:
         m_dispatches.value += code.ncmds
         pc = 0
@@ -687,7 +688,7 @@ def run(interp, code: Code, frame, state=None):
                     # arbitrary Tcl (redefining a builtin or starting
                     # the tracer), so recheck via the cached stamp.
                     if code.valid != interp.commands_epoch or \
-                            interp._trace_on:
+                            tracer.enabled:
                         if not _usable(interp, code):
                             if type(start) is tuple:
                                 result = start[0].execute(interp)
@@ -785,7 +786,7 @@ def run(interp, code: Code, frame, state=None):
                     if interp.depth >= _MAX_DEPTH:
                         raise TclError(_TOO_DEEP)
                     interp.depth += 1
-                    if interp._trace_on:
+                    if tracer.enabled:
                         # The tracer wants per-command spans: run the
                         # script on the tree path, as Interp.eval would.
                         result = ""

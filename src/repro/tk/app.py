@@ -471,9 +471,9 @@ class TkApp:
         if self.destroyed:
             return
         self.destroyed = True
-        # The display's tracer keeps running for the other
-        # applications on it, and its spans stay readable.
-        self.interp.detach_tracer()
+        # Free the server's recorder slot for the other applications;
+        # this application's recorded series stay readable.
+        self.obs.stop_recorder()
         if not self.main.destroyed:
             self.main.destroy()
         self.sender.unregister()

@@ -289,8 +289,8 @@ class BindingTable:
                 best, best_key = binding, key
         if best is None:
             return False
-        if self.interp._trace_on:
-            tracer = self.interp._tracer
+        tracer = self.interp._tracer
+        if tracer.enabled:
             span = tracer.begin("binding", best.sequence_text, window.path)
             try:
                 self._fire(best, window, event)

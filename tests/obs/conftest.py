@@ -17,13 +17,3 @@ def app(server):
     application.interp.stdout = io.StringIO()
     yield application
     application.obs.tracer.stop()
-
-
-def click(server, app, path, button=1):
-    """Press and release a button inside a widget's window."""
-    window = app.window(path)
-    root_x, root_y = window.root_position()
-    server.warp_pointer(root_x + 2, root_y + 2)
-    server.press_button(button)
-    server.release_button(button)
-    app.update()

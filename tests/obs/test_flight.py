@@ -1,5 +1,6 @@
 """Tests for the flight-recorder dump path (repro.obs.core)."""
 
+import io
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.obs.core import FLIGHT_DIR_ENV
+from repro.tk import TkApp
 
 
 class FakeClock:
@@ -37,6 +39,41 @@ class TestRecorderLifecycle:
         assert recorder.series_for("x11.requests{type=batch}")
         app.obs.stop_recorder()
         assert app.server._recorder is None
+
+    def test_second_app_cannot_take_over_a_started_recorder(self, server,
+                                                           app):
+        other = TkApp(server, name="other")
+        other.interp.stdout = io.StringIO()
+        first = app.obs.start_recorder(cadence_ms=1)
+        with pytest.raises(ValueError, match="another application"):
+            other.obs.start_recorder(cadence_ms=1)
+        assert server._recorder is first
+        # Stopping a recorder that never held the slot leaves it alone.
+        other.obs.stop_recorder()
+        assert server._recorder is first
+        app.interp.eval("button .b; pack append . .b {top}")
+        taken = first.samples_taken
+        for index in range(20):
+            app.interp.eval(".b configure -text x%d" % index)
+            app.display.sync()
+        assert first.enabled
+        assert first.samples_taken > taken
+        app.obs.stop_recorder()
+        assert server._recorder is None
+        second = other.obs.start_recorder(cadence_ms=1)
+        assert server._recorder is second
+        other.obs.stop_recorder()
+
+    def test_destroyed_app_frees_the_recorder_slot(self, server, app):
+        other = TkApp(server, name="other")
+        other.interp.stdout = io.StringIO()
+        first = other.obs.start_recorder(cadence_ms=1)
+        other.destroy()
+        assert server._recorder is None
+        assert not first.enabled
+        second = app.obs.start_recorder(cadence_ms=1)
+        assert server._recorder is second
+        app.obs.stop_recorder()
 
     def test_start_twice_reconfigures_same_recorder(self, hub):
         first = hub.start_recorder(cadence_ms=5)

@@ -11,7 +11,7 @@ from repro.tk import TkApp
 from repro.x11 import XServer
 from repro.x11.faults import FaultPlan
 
-from conftest import click
+from obs_helpers import click
 
 SCRIPT = """
 button .b -text Hello -command {set ::clicked 1}

@@ -11,8 +11,9 @@ import json
 import pytest
 
 from repro.tcl import Interp, TclError
+from repro.tk import TkApp
 
-from conftest import click
+from obs_helpers import click
 
 
 class TestObsMetricsCommand:
@@ -251,6 +252,19 @@ class TestObsRecorderCommand:
         app.interp.eval("obs recorder stop")
         assert app.server._recorder is None
         assert app.interp.eval("obs recorder dump")
+
+    def test_start_refused_while_another_app_samples(self, server, app):
+        other = TkApp(server, name="other")
+        other.interp.stdout = io.StringIO()
+        app.interp.eval("obs recorder start -cadence 1")
+        with pytest.raises(TclError, match="obs recorder start: another "
+                           "application's recorder is sampling"):
+            other.interp.eval("obs recorder start")
+        other.interp.eval("obs recorder stop")
+        assert server._recorder is app.obs.recorder
+        app.interp.eval("obs recorder stop")
+        other.interp.eval("obs recorder start")
+        assert server._recorder is other.obs.recorder
 
     def test_dump_before_start_errors(self, app):
         with pytest.raises(TclError, match="not started"):

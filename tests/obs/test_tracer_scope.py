@@ -100,6 +100,34 @@ def test_destroying_one_app_keeps_tracing_the_other():
     assert frames[0].requests["create_window"] == 1
 
 
+def test_tracer_started_from_the_server_hub_switches_the_interpreter():
+    server = XServer()
+    app = _new_app(server, "a")
+    dispatches = app.interp._m_vm_dispatches
+    before = dispatches.value
+    app.interp.eval_top("set x 1; incr x")
+    assert dispatches.value > before
+    tracer = server.obs.tracer
+    tracer.start()
+    try:
+        before = dispatches.value
+        app.interp.eval_top("set x 1; frame .g")
+        # Traced, the interpreter walks the tree: no VM dispatch.
+        assert dispatches.value == before
+    finally:
+        tracer.stop()
+    spans = list(tracer.spans)
+    (top,) = [span for span in spans if span.kind == "eval"]
+    assert top.name == "set x 1; frame .g"
+    cmds = [(span.name, span.widget, span.parent_id) for span in spans
+            if span.kind == "cmd"]
+    assert cmds == [("set", None, top.id), ("frame", ".g", top.id)]
+    before = dispatches.value
+    app.interp.eval_top("set x 1; incr x")
+    assert dispatches.value > before
+    assert len(tracer.spans) == len(spans)
+
+
 def test_app_registry_reports_the_display_tracers_evictions():
     server = XServer()
     app = _new_app(server, "a")
