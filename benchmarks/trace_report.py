@@ -52,7 +52,7 @@ def _traced_replay(journal: Journal, kind: str) -> dict:
                               header.get("script") or "")
         # Trace from the first replayed input on, through the
         # application's teardown: the tracer is the display's.
-        app.obs.tracer.start(wire=True)
+        app.obs.tracer.start()
         tracers.append(app.obs.tracer)
         return app
 

@@ -110,22 +110,19 @@ class Observability:
     def flight_dump(self, window_ms: int = FLIGHT_WINDOW_MS,
                     reason: str = "manual") -> dict:
         """The last ``window_ms`` of telemetry as one self-contained
-        artifact: spans, wire log, recorder samples, and a full
-        metrics snapshot, all in virtual time."""
+        artifact: spans, recorder samples, and a full metrics snapshot,
+        all in virtual time.  With a journal attached, ``wire`` holds
+        its ``req`` entries in the window, as stored."""
         now = self.clock()
         horizon = now - window_ms
-        tracer = self.tracer
         data = {
             "kind": "flight",
             "reason": reason,
             "virtual_ms": now,
             "window_ms": window_ms,
             "metrics": self.metrics.snapshot(),
-            "spans": [span.to_dict() for span in tracer.spans
+            "spans": [span.to_dict() for span in self.tracer.spans
                       if span.end >= horizon],
-            "wire": [{"tick": tick, "request": name, "widget": widget}
-                     for tick, name, widget in tracer.wire_log
-                     if tick >= horizon],
         }
         if self.recorder is not None:
             data["samples"] = self.recorder.window(window_ms, now)
@@ -136,6 +133,9 @@ class Observability:
             }
         journal = self.journal()
         if journal is not None:
+            data["wire"] = [entry for entry in journal.ring
+                            if entry["k"] == "req"
+                            and entry["t"] >= horizon]
             data["journal"] = {"entries": len(journal),
                                "dropped": journal.dropped,
                                "recording": journal.recording}

@@ -19,7 +19,7 @@ The recorder is the data source for the flight-recorder dump
 (:meth:`repro.obs.core.Observability.flight_dump`): on bgerror,
 invariant-oracle failure, or SLO breach, the last N virtual seconds of
 samples ship inside one self-contained artifact next to the span tree
-and wire log.
+and the attached journal's requests.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ test ``tracer.enabled`` — one attribute test when no one is tracing —
 before attributing the request to the span open on that tracer.  A
 tracer therefore sees exactly one display's traffic, and a cross-app
 ``send`` nests the target's work under the sender's span, because both
-applications push onto the same stack.  *Wire mode* additionally
-records every request on the display (named tick, originating widget)
-in the spirit of ``xmon``, even between spans.
+applications push onto the same stack.  The tracer keeps no list of
+requests of its own: the ordered record of every request on the
+display is the session journal (:mod:`repro.obs.journal`), which the
+flight dump reads for its ``wire`` section.
 
 Since the Display→XServer boundary became a byte-level wire
 (:mod:`repro.x11.wire`), traces cross it: the transport opens a *wire
@@ -48,9 +49,6 @@ from .report import build_forest
 
 #: Default capacity of the finished-span ring buffer.
 SPAN_RING = 4096
-
-#: Default capacity of the wire-log ring buffer.
-WIRE_RING = 8192
 
 
 class Span:
@@ -102,7 +100,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans (and optionally the raw X wire) while started.
+    """Collects spans while started.
 
     ``begin``/``finish`` bracket a unit of work; the open-span stack
     provides parent links and request attribution.  The tracer is a
@@ -112,36 +110,28 @@ class Tracer:
     """
 
     def __init__(self, clock: Callable[[], int],
-                 max_spans: int = SPAN_RING,
-                 max_wire: int = WIRE_RING):
+                 max_spans: int = SPAN_RING):
         self.clock = clock
         self.enabled = False
-        self.wire = False
         self.spans: deque = deque(maxlen=max_spans)
-        self.wire_log: deque = deque(maxlen=max_wire)
         self._stack: List[Span] = []
         self._next_id = 1
         #: open wire spans by id, the trace context their frames carry
         self._inflight: Dict[int, Span] = {}
-        #: spans/wire entries silently pushed off the bounded rings —
-        #: surfaced as ``obs.trace.evicted{ring=...}`` once bound
+        #: spans silently pushed off the bounded ring — surfaced as
+        #: ``obs.trace.evicted{ring=spans}`` once bound
         self.evicted_spans = 0
-        self.evicted_wire = 0
         self._m_evicted_spans = None
-        self._m_evicted_wire = None
 
     def bind_metrics(self, registry) -> None:
-        """Mirror ring evictions as ``obs.trace.evicted{ring=...}``.
+        """Mirror ring evictions as ``obs.trace.evicted{ring=spans}``.
 
-        Counters are seeded from evictions recorded before binding, so
-        the metric and the ``evicted_*`` attributes always agree.
+        The counter is seeded from evictions recorded before binding,
+        so the metric and :attr:`evicted_spans` always agree.
         """
         self._m_evicted_spans = registry.counter("obs.trace.evicted",
                                                  ring="spans")
         self._m_evicted_spans.value = self.evicted_spans
-        self._m_evicted_wire = registry.counter("obs.trace.evicted",
-                                                ring="wire")
-        self._m_evicted_wire.value = self.evicted_wire
 
     def _keep(self, span: Span) -> None:
         """Append a finished span to the ring, counting an eviction."""
@@ -150,14 +140,6 @@ class Tracer:
             if self._m_evicted_spans is not None:
                 self._m_evicted_spans.value += 1
         self.spans.append(span)
-
-    def _log(self, name: str, widget: Optional[str]) -> None:
-        """Append one request to the wire log, counting an eviction."""
-        if len(self.wire_log) == self.wire_log.maxlen:
-            self.evicted_wire += 1
-            if self._m_evicted_wire is not None:
-                self._m_evicted_wire.value += 1
-        self.wire_log.append((self.clock(), name, widget))
 
     def _span(self, kind: str, name: str, parent: Optional[Span],
               widget: Optional[str] = None) -> Span:
@@ -171,13 +153,11 @@ class Tracer:
 
     # -- lifecycle -----------------------------------------------------
 
-    def start(self, wire: bool = False) -> None:
+    def start(self) -> None:
         self.enabled = True
-        self.wire = wire
 
     def stop(self) -> None:
         self.enabled = False
-        self.wire = False
         # Abandon any open spans: a stop inside a handler must not
         # leave dangling parents for the next start.
         self._stack = []
@@ -185,10 +165,9 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
-        self.wire_log.clear()
         self._stack = []
         self._inflight.clear()
-        # Safe to reuse ids only because every ring is now empty: a
+        # Safe to reuse ids only because the ring is now empty: a
         # surviving span's explicit parent link must never alias a
         # later span that happens to get the same id.
         self._next_id = 1
@@ -280,32 +259,16 @@ class Tracer:
     # -- server-side attribution ---------------------------------------
 
     def record_request(self, name: str) -> None:
-        if self._stack:
-            span = self._stack[-1]
-            span.requests[name] = span.requests.get(name, 0) + 1
-            widget = span.widget
-        else:
-            widget = None
-        if self.wire:
-            self._log(name, widget)
+        """Attribute one request to the span that issued it.
 
-    def record_queued(self, name: str) -> None:
-        """Attribute a buffered one-way request to the active span.
-
-        With output buffering the wire write happens later (at flush),
-        possibly under an unrelated span — but the *issuer* is the span
-        that enqueued the request, so attribution happens here and the
-        wire log entry at delivery time (:meth:`record_delivery`).
+        A buffered one-way request reaches the server later (at flush),
+        possibly under an unrelated span, so the Display calls this
+        when it enqueues the request and the server only for requests
+        it does not receive in a batch.
         """
         if self._stack:
             span = self._stack[-1]
             span.requests[name] = span.requests.get(name, 0) + 1
-
-    def record_delivery(self, name: str) -> None:
-        """Log a request delivered from a batch to the wire log only
-        (it was attributed to its issuing span when enqueued)."""
-        if self.wire:
-            self._log(name, self._stack[-1].widget if self._stack else None)
 
     def record_round_trip(self) -> None:
         if self._stack:
@@ -359,20 +322,8 @@ class Tracer:
             emit(root, 1)
         return "\n".join(lines)
 
-    def format_wire(self) -> str:
-        """The wire log as ``tick  request  widget`` lines."""
-        lines = ["WIRE: %d requests" % len(self.wire_log)]
-        for tick, name, widget in self.wire_log:
-            lines.append("%8d  %-28s %s" % (tick, name, widget or "-"))
-        return "\n".join(lines)
-
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "spans": [span.to_dict() for span in self.spans],
-            "wire": [{"tick": tick, "request": name, "widget": widget}
-                     for tick, name, widget in self.wire_log],
-        }
+        return {"spans": [span.to_dict() for span in self.spans]}
 
 
-
-__all__ = ["Span", "Tracer", "SPAN_RING", "WIRE_RING"]
+__all__ = ["Span", "Tracer", "SPAN_RING"]

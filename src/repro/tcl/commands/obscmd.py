@@ -7,21 +7,22 @@ metrics registry, span tracer, and profiler of the interpreter's
 Tcl::
 
     obs metrics ?pattern?              formatted metric listing
-    obs trace start ?-wire?            begin collecting spans
+    obs trace start                    begin collecting spans
     obs trace stop                     stop collecting
     obs trace clear                    discard collected spans
     obs trace dump ?-format text|json? the span tree
-    obs trace wire                     the wire log (every X request)
     obs profile report ?-limit n?      aggregated span attribution
     obs journal start ?-file FILE?     record the session journal
     obs journal stop                   stop recording
-    obs journal dump ?-limit n?        formatted journal listing
+    obs journal dump ?-limit n?        formatted journal listing (the
+                                       ordered log of every X request)
     obs journal save FILE              write the journal as JSONL
     obs recorder start ?-cadence N? ?-ring N?
                                        start the time-series recorder
     obs recorder stop                  stop sampling (series readable)
     obs recorder dump ?pattern?        recorded series, one per line
-    obs flight save FILE ?-window MS?  flight dump (spans+samples+wire)
+    obs flight save FILE ?-window MS?  flight dump (spans, samples, and
+                                       the attached journal's requests)
     obs dump ?-format json?            metrics+trace+profile as JSON
 
 ``info metrics`` returns the same data as ``obs metrics`` but as a
@@ -76,13 +77,10 @@ def _trace(obs, argv: List[str]) -> str:
     action = argv[2]
     tracer = obs.tracer
     if action == "start":
-        wire = False
-        for word in argv[3:]:
-            if word == "-wire":
-                wire = True
-            else:
-                raise TclError('bad switch "%s": must be -wire' % word)
-        tracer.start(wire=wire)
+        if len(argv) != 3:
+            raise TclError(
+                'wrong # args: should be "obs trace start"')
+        tracer.start()
         return ""
     if action == "stop":
         tracer.stop()
@@ -98,10 +96,8 @@ def _trace(obs, argv: List[str]) -> str:
             return json.dumps(tracer.to_dict(), indent=2,
                               sort_keys=True)
         raise TclError('bad format "%s": should be text or json' % fmt)
-    if action == "wire":
-        return tracer.format_wire()
     raise TclError(
-        'bad option "%s": should be clear, dump, start, stop, or wire'
+        'bad option "%s": should be clear, dump, start, or stop'
         % action)
 
 

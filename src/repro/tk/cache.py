@@ -34,6 +34,11 @@ from ..x11.xserver import XProtocolError
 #: Resource kinds the cache tracks, in reporting order.
 KINDS = ("color", "font", "cursor", "bitmap", "gc")
 
+#: The id field of each kind the reverse (id -> name) map covers; GCs
+#: are keyed by their values and have no name.
+_ID_FIELDS = {"color": "pixel", "font": "fid", "cursor": "cid",
+              "bitmap": "bid"}
+
 
 class ResourceCache:
     """Client-side cache of colors, fonts, cursors, bitmaps, and GCs."""
@@ -43,15 +48,10 @@ class ResourceCache:
         self.display = display
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_hits = {kind: self.metrics.counter("tk.cache.hits",
-                                                   kind=kind)
-                        for kind in KINDS}
-        self._m_misses = {kind: self.metrics.counter("tk.cache.misses",
-                                                     kind=kind)
-                          for kind in KINDS}
-        self._m_errors = {kind: self.metrics.counter("tk.cache.errors",
-                                                     kind=kind)
-                          for kind in KINDS}
+        self._m_hits, self._m_misses, self._m_errors = (
+            {kind: self.metrics.counter(name, kind=kind) for kind in KINDS}
+            for name in ("tk.cache.hits", "tk.cache.misses",
+                         "tk.cache.errors"))
         self._colors: Dict[str, Color] = {}
         self._fonts: Dict[str, Font] = {}
         self._cursors: Dict[str, Cursor] = {}
@@ -59,110 +59,71 @@ class ResourceCache:
         self._gcs: Dict[Tuple, GraphicsContext] = {}
         self._names: Dict[int, str] = {}
 
-    # -- colors ----------------------------------------------------------
+    def _lookup(self, kind: str, store: Dict, key, error: Optional[str],
+                allocate, arg):
+        """``store[key]`` (a hit), else ``allocate(display, arg)``.
+
+        A failed allocation counts as an error, not a miss; a protocol
+        error becomes CacheError(``error % key``) unless ``error`` is
+        None.
+        """
+        if self.enabled:
+            cached = store.get(key)
+            if cached is not None:
+                self._m_hits[kind].value += 1
+                return cached
+        try:
+            resource = allocate(self.display, arg)
+        except XProtocolError:
+            if error is None:
+                raise
+            self._m_errors[kind].value += 1
+            raise CacheError(error % key)
+        except CacheError:
+            self._m_errors[kind].value += 1
+            raise
+        self._m_misses[kind].value += 1
+        if self.enabled:
+            store[key] = resource
+        field = _ID_FIELDS.get(kind)
+        if field is not None:
+            self._names[getattr(resource, field)] = key
+        return resource
 
     def color(self, name: str) -> Color:
         """Resolve a textual color name to an allocated color."""
-        if self.enabled:
-            cached = self._colors.get(name)
-            if cached is not None:
-                self._m_hits["color"].value += 1
-                return cached
-        try:
-            color = self.display.alloc_named_color(name)
-        except XProtocolError:
-            self._m_errors["color"].value += 1
-            raise CacheError('unknown color name "%s"' % name)
-        self._m_misses["color"].value += 1
-        if self.enabled:
-            self._colors[name] = color
-        self._names[color.pixel] = name
-        return color
+        return self._lookup("color", self._colors, name,
+                            'unknown color name "%s"',
+                            Display.alloc_named_color, name)
 
     def pixel(self, name: str) -> int:
         return self.color(name).pixel
 
-    # -- fonts -------------------------------------------------------------
-
     def font(self, name: str) -> Font:
-        if self.enabled:
-            cached = self._fonts.get(name)
-            if cached is not None:
-                self._m_hits["font"].value += 1
-                return cached
-        try:
-            font = self.display.load_font(name)
-        except XProtocolError:
-            self._m_errors["font"].value += 1
-            raise CacheError('font "%s" doesn\'t exist' % name)
-        self._m_misses["font"].value += 1
-        if self.enabled:
-            self._fonts[name] = font
-        self._names[font.fid] = name
-        return font
-
-    # -- cursors -------------------------------------------------------------
+        return self._lookup("font", self._fonts, name,
+                            'font "%s" doesn\'t exist',
+                            Display.load_font, name)
 
     def cursor(self, name: str) -> Cursor:
-        if self.enabled:
-            cached = self._cursors.get(name)
-            if cached is not None:
-                self._m_hits["cursor"].value += 1
-                return cached
-        try:
-            cursor = self.display.create_cursor(name)
-        except XProtocolError:
-            self._m_errors["cursor"].value += 1
-            raise CacheError('bad cursor spec "%s"' % name)
-        self._m_misses["cursor"].value += 1
-        if self.enabled:
-            self._cursors[name] = cursor
-        self._names[cursor.cid] = name
-        return cursor
-
-    # -- bitmaps -----------------------------------------------------------
+        return self._lookup("cursor", self._cursors, name,
+                            'bad cursor spec "%s"',
+                            Display.create_cursor, name)
 
     def bitmap(self, name: str) -> Bitmap:
         """Resolve a bitmap: a built-in name or ``@filename``."""
-        if self.enabled:
-            cached = self._bitmaps.get(name)
-            if cached is not None:
-                self._m_hits["bitmap"].value += 1
-                return cached
         if name.startswith("@"):
-            try:
-                width, height = _read_bitmap_file(name[1:])
-            except CacheError:
-                self._m_errors["bitmap"].value += 1
-                raise
-            bitmap = self.display.create_bitmap(name, width, height)
-        else:
-            try:
-                bitmap = self.display.create_bitmap(name)
-            except XProtocolError:
-                self._m_errors["bitmap"].value += 1
-                raise CacheError('bitmap "%s" not defined' % name)
-        self._m_misses["bitmap"].value += 1
-        if self.enabled:
-            self._bitmaps[name] = bitmap
-        self._names[bitmap.bid] = name
-        return bitmap
-
-    # -- graphics contexts ---------------------------------------------------
+            # A bad file raises CacheError; a protocol error on the
+            # sized request that follows is not the name's fault.
+            return self._lookup("bitmap", self._bitmaps, name, None,
+                                _create_file_bitmap, name)
+        return self._lookup("bitmap", self._bitmaps, name,
+                            'bitmap "%s" not defined',
+                            Display.create_bitmap, name)
 
     def gc(self, **values) -> GraphicsContext:
         """Share graphics contexts with identical values."""
-        key = tuple(sorted(values.items()))
-        if self.enabled:
-            cached = self._gcs.get(key)
-            if cached is not None:
-                self._m_hits["gc"].value += 1
-                return cached
-        gc = self.display.create_gc(**values)
-        self._m_misses["gc"].value += 1
-        if self.enabled:
-            self._gcs[key] = gc
-        return gc
+        return self._lookup("gc", self._gcs, tuple(sorted(values.items())),
+                            None, _create_gc, values)
 
     # -- reverse lookup ------------------------------------------------------
 
@@ -197,6 +158,15 @@ class ResourceCache:
 
 class CacheError(Exception):
     """A textual resource description could not be resolved."""
+
+
+def _create_gc(display: Display, values: Dict) -> GraphicsContext:
+    return display.create_gc(**values)
+
+
+def _create_file_bitmap(display: Display, name: str) -> Bitmap:
+    width, height = _read_bitmap_file(name[1:])
+    return display.create_bitmap(name, width, height)
 
 
 def _read_bitmap_file(filename: str) -> Tuple[int, int]:

@@ -91,13 +91,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     disabled (the tree-walking ablation), and is recorded in the
     journal header so replays rebuild the same configuration.
 
-    ``--trace`` starts the span tracer (wire mode) before the script
-    runs and prints the span tree to stderr on exit; ``--metrics-out
-    FILE`` writes the full observability dump (metrics + trace +
-    profile) as JSON when the shell exits.  ``--journal FILE`` records
-    the whole session (inputs, requests, batches, round trips, faults,
-    sends) to FILE as it runs; ``--replay FILE`` re-runs a recorded
-    session against a fresh shell and reports wire divergence
+    ``--trace`` starts the span tracer before the script runs and
+    prints the span tree to stderr on exit; ``--metrics-out FILE``
+    writes the full observability dump (metrics + trace + profile) as
+    JSON when the shell exits.  ``--journal FILE`` records the whole
+    session (inputs, every request in order, batches, round trips,
+    faults, sends) to FILE as it runs — the one log of the request
+    stream; ``--replay FILE`` re-runs a recorded session against a
+    fresh shell and reports wire divergence
     (``--replay-mode`` selects an ablation mode; exit status 1 on
     divergence).
     """
@@ -163,7 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    sink=journal_out, setup=setup)
     obs = shell.app.obs
     if trace or metrics_out is not None:
-        obs.tracer.start(wire=trace)
+        obs.tracer.start()
     try:
         if script is not None:
             shell.run_script(script)

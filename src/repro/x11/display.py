@@ -241,9 +241,9 @@ class Display:
         self._require_open()
         if self.buffering_enabled:
             if self._tracer.enabled:
-                # Attribute the request to the span issuing it now; the
-                # wire log gets its entry at delivery time.
-                self._tracer.record_queued(name)
+                # Attribute the request to the span issuing it now: the
+                # flush that delivers it may run under another span.
+                self._tracer.record_request(name)
                 if self._queued_since is None:
                     self._queued_since = self.server.time_ms
             if window in self._configures:
@@ -378,7 +378,7 @@ class Display:
         # the pending configure addresses this window, so merge into it.
         self._require_open()
         if self._tracer.enabled:
-            self._tracer.record_queued("configure_window")
+            self._tracer.record_request("configure_window")
             if self._queued_since is None:
                 self._queued_since = self.server.time_ms
         pending.update(kwargs)

@@ -415,12 +415,9 @@ class XServer:
             self._jdetail = None
         if self._tracer.enabled:
             tracer = self._tracer
-            if self._delivering_batch:
+            if not self._delivering_batch:
                 # Batched requests were attributed to their issuing
-                # span at enqueue time; only the wire log records the
-                # delivery.
-                tracer.record_delivery(name)
-            else:
+                # span at enqueue time.
                 tracer.record_request(name)
             ctx = self._trace_ctx
             if ctx is not None:

@@ -421,7 +421,7 @@ class TestFleetTraceEviction:
         server = driver.servers[0]
         tracer = server.obs.tracer
         tracer.spans = deque(maxlen=256)
-        tracer.start(wire=True)
+        tracer.start()
         try:
             result = driver.run()
 

@@ -3,11 +3,14 @@
 import io
 import json
 import os
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import Observability
 from repro.obs.core import FLIGHT_DIR_ENV
+from repro.obs.journal import Journal
 from repro.tk import TkApp
 
 
@@ -91,22 +94,24 @@ class TestRecorderLifecycle:
 
 class TestFlightDump:
     def test_window_filters_spans_and_wire(self, hub, clock):
+        journal = Journal(clock)
+        hub.server = SimpleNamespace(journal=journal)
         tracer = hub.tracer
-        tracer.start(wire=True)
+        tracer.start()
         old = tracer.begin("eval", "ancient")
         clock.now = 100
-        tracer.record_request("create_window")
+        journal.request("create_window")
         tracer.finish(old)
         clock.now = 5000
         recent = tracer.begin("eval", "recent")
         clock.now = 5100
-        tracer.record_request("draw_string")
+        journal.request("draw_string")
         tracer.finish(recent)
         data = hub.flight_dump(window_ms=1000)
         assert data["kind"] == "flight"
         assert data["virtual_ms"] == 5100
         assert [span["name"] for span in data["spans"]] == ["recent"]
-        assert [entry["request"] for entry in data["wire"]] == \
+        assert [entry["name"] for entry in data["wire"]] == \
             ["draw_string"]
         assert "metrics" in data
 
@@ -119,6 +124,52 @@ class TestFlightDump:
         assert data["reason"] == "probe"
         assert data["samples"]["n"] == [[10, 1]]
         assert data["recorder"]["samples"] == 1
+
+    def test_wire_is_the_journals_requests_in_the_window(self, app):
+        app.interp.eval("obs journal start")
+        app.interp.eval("label .l -text hi\npack append . .l {top}")
+        app.update()
+        start = app.server.time_ms
+        app.interp.eval(".l configure -text there")
+        app.update()
+        data = app.obs.flight_dump(
+            window_ms=app.server.time_ms - start)
+        requests = [entry for entry in app.obs.journal().ring
+                    if entry["k"] == "req"]
+        assert data["wire"] == [entry for entry in requests
+                                if entry["t"] >= start]
+        assert data["wire"] and len(data["wire"]) < len(requests)
+
+    def test_no_wire_section_without_a_journal(self, app):
+        app.obs.tracer.start()
+        app.interp.eval("label .l -text hi\npack append . .l {top}")
+        app.update()
+        data = app.obs.flight_dump()
+        assert app.obs.journal() is None
+        assert "wire" not in data
+        assert data["spans"]
+        assert data["metrics"]["x11.requests{type=create_window}"] > 0
+
+    def test_buffered_request_counts_once_on_its_issuing_span(self, app):
+        app.interp.eval("obs journal start")
+        app.interp.eval("obs trace start")
+        app.interp.eval("button .b")
+        app.interp.eval("pack append . .b {top}")
+        app.interp.eval(".b configure -text Howdy")
+        app.interp.eval("update")
+        data = app.obs.flight_dump()
+        delivered = Counter(entry["name"] for entry in data["wire"])
+        issuers = {}
+        for span in data["spans"]:
+            for name, count in span.get("requests", {}).items():
+                issuers.setdefault(name, []).append(
+                    (span["kind"], span["name"], count))
+        # Each is buffered and delivered at the idle flush of update,
+        # yet counted once, on the command that issued it.
+        assert issuers["select_input"] == [("cmd", "button", 2)]
+        assert issuers["map_window"] == [("cmd", "pack", 1)]
+        assert delivered["select_input"] == 2
+        assert delivered["map_window"] == 1
 
     def test_save_flight_writes_json(self, hub, tmp_path):
         path = str(tmp_path / "flight.json")

@@ -97,12 +97,15 @@ class TestTraceCommand:
         data = json.loads(app.interp.eval("obs trace dump -format json"))
         assert any(span["name"] == "frame" for span in data["spans"])
 
-    def test_trace_wire_mode(self, app, server):
-        app.interp.eval("obs trace start -wire")
-        app.interp.eval("button .b -text hi")
-        app.interp.eval("obs trace stop")
-        wire = app.interp.eval("obs trace wire")
-        assert "create_window" in wire
+    def test_trace_wire_mode(self, app):
+        # The request log is the session journal; the tracer has no
+        # wire mode, and both errors name the valid usage.
+        with pytest.raises(TclError, match=r'should be "obs trace start"'):
+            app.interp.eval("obs trace start -wire")
+        assert not app.obs.tracer.enabled
+        with pytest.raises(TclError, match=r'bad option "wire": should '
+                           r'be clear, dump, start, or stop'):
+            app.interp.eval("obs trace wire")
 
     def test_trace_clear(self, app):
         app.interp.eval("obs trace start")
@@ -285,7 +288,7 @@ class TestObsRecorderCommand:
 
 class TestObsFlightCommand:
     def test_save_writes_flight_json(self, app, tmp_path):
-        app.interp.eval("obs trace start -wire")
+        app.interp.eval("obs trace start")
         app.interp.eval("label .l -text hi\npack append . .l {top}")
         app.update()
         path = str(tmp_path / "flight.json")

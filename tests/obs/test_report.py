@@ -115,7 +115,7 @@ def traced_workload(kind):
         app.interp.eval("button .b -text hi\n"
                         "pack append . .b {top}")
         app.update()
-        app.obs.tracer.start(wire=True)
+        app.obs.tracer.start()
         app.interp.eval(".b configure -text there")
         app.update()
         app.interp.eval("update")
@@ -168,7 +168,7 @@ class TestCli:
         server = XServer()
         app = TkApp(server, name="cli")
         app.interp.stdout = io.StringIO()
-        app.obs.tracer.start(wire=True)
+        app.obs.tracer.start()
         app.interp.eval("label .l -text x\npack append . .l {top}")
         app.update()
         path = str(tmp_path / "flight.json")

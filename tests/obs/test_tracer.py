@@ -85,23 +85,6 @@ class TestAttribution:
         assert span.requests == {"fill_rectangle": 2}
         assert span.round_trips == 1
 
-    def test_wire_mode_records_every_request(self, clock):
-        tracer = Tracer(clock)
-        tracer.start(wire=True)
-        tracer.record_request("create_window")   # no span open
-        span = tracer.begin("cmd", ".b", widget=".b")
-        tracer.record_request("draw_string")
-        tracer.finish(span)
-        tracer.stop()
-        assert [(name, widget) for _, name, widget in tracer.wire_log] \
-            == [("create_window", None), ("draw_string", ".b")]
-
-    def test_no_wire_log_without_wire_mode(self, tracer):
-        span = tracer.begin("cmd", ".b")
-        tracer.record_request("draw_string")
-        tracer.finish(span)
-        assert len(tracer.wire_log) == 0
-
 
 class TestOutput:
     def test_tree_nests_children(self, tracer):
@@ -132,7 +115,7 @@ class TestOutput:
         tracer.finish(span)
         data = tracer.to_dict()
         assert data["spans"][0]["kind"] == "send"
-        assert data["wire"] == []
+        assert list(data) == ["spans"]
 
     def test_clear_resets(self, tracer):
         tracer.finish(tracer.begin("cmd", "set"))
@@ -213,18 +196,6 @@ class TestEvictionMetrics:
         tracer.stop()
         assert tracer.evicted_spans == 6
         assert registry.value("obs.trace.evicted", ring="spans") == 6
-        assert registry.value("obs.trace.evicted", ring="wire") == 0
-
-    def test_wire_ring_evictions_counted(self, clock):
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-        tracer = Tracer(clock, max_wire=3)
-        tracer.bind_metrics(registry)
-        tracer.start(wire=True)
-        for index in range(8):
-            tracer.record_request("intern_atom")
-        tracer.stop()
-        assert registry.value("obs.trace.evicted", ring="wire") == 5
 
     def test_bind_seeds_from_prior_evictions(self, clock):
         from repro.obs import MetricsRegistry

@@ -44,14 +44,16 @@ class TestTraceFlag:
         assert err.startswith("TRACE:")
         assert "cmd button" in err
 
-    def test_trace_enables_wire_log(self, tmp_path):
-        out = tmp_path / "obs.json"
-        status = main(["--trace", "--metrics-out", str(out), "-f",
+    def test_trace_with_journal_logs_requests(self, tmp_path, capsys):
+        out = tmp_path / "session.journal"
+        status = main(["--trace", "--journal", str(out), "-f",
                        _write_script(tmp_path)])
         assert status == 0
-        data = json.loads(out.read_text())
-        assert any(entry["request"] == "create_window"
-                   for entry in data["trace"]["wire"])
+        assert capsys.readouterr().err.startswith("TRACE:")
+        entries = [json.loads(line)
+                   for line in out.read_text().splitlines()[1:]]
+        assert any(entry["k"] == "req" and entry["name"] == "create_window"
+                   for entry in entries)
 
 
 class TestNoFlags:
